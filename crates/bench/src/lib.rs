@@ -72,7 +72,10 @@ impl Algorithm {
     }
 }
 
-/// Schedule one loop with the given algorithm and policy.
+/// Schedule one loop with the given algorithm under every policy of `policies`,
+/// one result per policy in input order.  The policies share one schedule memo
+/// ([`SelectiveUnroller::schedule_with_policies`]), so the original body and each
+/// unrolled kernel are scheduled at most once.
 ///
 /// Measurement hook: when `FUEL_BUDGET_PROBES` is set in the environment the BSA
 /// path runs under a [`vliw_sms::FuelBudget`] of that many probes.  The perf
@@ -83,12 +86,11 @@ pub fn schedule_loop(
     graph: &DepGraph,
     machine: &MachineConfig,
     algorithm: Algorithm,
-    policy: UnrollPolicy,
-) -> Result<ClusterSchedule, ScheduleError> {
+    policies: &[UnrollPolicy],
+) -> Vec<Result<ClusterSchedule, ScheduleError>> {
     match algorithm {
-        Algorithm::UnifiedSms => {
-            SelectiveUnroller::new(SmsScheduler::new(machine)).schedule_with_policy(graph, policy)
-        }
+        Algorithm::UnifiedSms => SelectiveUnroller::new(SmsScheduler::new(machine))
+            .schedule_with_policies(graph, policies),
         Algorithm::Bsa => {
             let mut bsa = BsaScheduler::new(machine);
             if let Some(probes) = std::env::var("FUEL_BUDGET_PROBES")
@@ -97,11 +99,10 @@ pub fn schedule_loop(
             {
                 bsa = bsa.with_fuel(vliw_sms::FuelBudget::probes(probes));
             }
-            SelectiveUnroller::new(bsa).schedule_with_policy(graph, policy)
+            SelectiveUnroller::new(bsa).schedule_with_policies(graph, policies)
         }
-        Algorithm::NystromEichenberger => {
-            SelectiveUnroller::new(NeScheduler::new(machine)).schedule_with_policy(graph, policy)
-        }
+        Algorithm::NystromEichenberger => SelectiveUnroller::new(NeScheduler::new(machine))
+            .schedule_with_policies(graph, policies),
     }
 }
 
@@ -197,7 +198,8 @@ pub fn run_corpus(
     algorithm: Algorithm,
     policy: UnrollPolicy,
 ) -> CorpusResult {
-    run_corpus_impl(corpus, machine, algorithm, policy, false, false)
+    let mut results = CorpusRun::new(machine, algorithm, vec![policy], false, false).run(corpus);
+    results.pop().expect("one corpus result per policy")
 }
 
 /// [`run_corpus`], with every produced schedule differentially audited by
@@ -214,177 +216,240 @@ pub fn run_corpus_verified(
     algorithm: Algorithm,
     policy: UnrollPolicy,
 ) -> CorpusResult {
-    run_corpus_impl(corpus, machine, algorithm, policy, true, false)
+    let mut results = CorpusRun::new(machine, algorithm, vec![policy], true, false).run(corpus);
+    results.pop().expect("one corpus result per policy")
 }
 
-/// [`run_corpus`] with the audit modes selected by flags: `verify` replays every
-/// schedule through `vliw_sim`'s differential oracle ([`run_corpus_verified`]);
-/// `lint` certifies every schedule with `vliw_lint`'s static certifier and panics
-/// on the first deny-level diagnostic.  Both audits only observe, so the corpus
-/// result is identical in every mode; [`sweep::Sweep`] routes its `VERIFY_CELLS` /
-/// `LINT_CELLS` opt-ins through here.
-pub fn run_corpus_audited(
-    corpus: &LoopCorpus,
-    machine: &MachineConfig,
+/// One loop's accounting under one policy: its IPC contribution, code size, whether
+/// it was unrolled and the engine diagnostics (`None` when it failed to schedule).
+type PerLoop = Option<(LoopContribution, CodeSizeReport, bool, ScheduleDiagnostics)>;
+
+/// One corpus run's settings: the machine, algorithm and policies every loop is
+/// scheduled with, and the audits every schedule goes through.  `verify` replays
+/// every schedule through `vliw_sim`'s differential oracle
+/// ([`run_corpus_verified`]); `lint` certifies every schedule with `vliw_lint`'s
+/// static certifier and panics on the first deny-level diagnostic.  Both audits
+/// only observe, so the corpus results are identical in every mode;
+/// [`sweep::Sweep`] routes its `VERIFY_CELLS` / `LINT_CELLS` opt-ins through here.
+struct CorpusRun<'a> {
+    machine: &'a MachineConfig,
     algorithm: Algorithm,
-    policy: UnrollPolicy,
+    policies: Vec<UnrollPolicy>,
     verify: bool,
     lint: bool,
-) -> CorpusResult {
-    run_corpus_impl(corpus, machine, algorithm, policy, verify, lint)
+    code_model: CodeSizeModel,
 }
 
-fn run_corpus_impl(
-    corpus: &LoopCorpus,
-    machine: &MachineConfig,
-    algorithm: Algorithm,
-    policy: UnrollPolicy,
-    verify: bool,
-    lint: bool,
-) -> CorpusResult {
-    let code_model = CodeSizeModel::new(machine);
-    type PerLoop = (LoopContribution, CodeSizeReport, bool, ScheduleDiagnostics);
-    let per_loop: Vec<Option<PerLoop>> = corpus
-        .loops
-        .par_iter()
-        .map(|graph| {
-            // The per-loop job boundary: a panic anywhere in the scheduling stack is
-            // contained into `ScheduleError::PolicyPanic` instead of unwinding
-            // through the rayon pool and killing the entire sweep.  A plain run then
-            // counts the loop in `failed_loops` (visible in the result JSON); an
-            // audited run still hard-fails below with the typed message.
-            let scheduled =
-                vliw_sms::contain_schedule(|| schedule_loop(graph, machine, algorithm, policy));
-            let cs: ClusterSchedule = match scheduled {
-                Ok(cs) => cs,
-                // A plain run counts the loop in `failed_loops` and moves on; an
-                // execution-validated run must not silently lose coverage — an
-                // unschedulable loop on a figure machine is itself an anomaly.
-                Err(e) if verify => panic!(
-                    "verify_cells: loop {} failed to schedule on {} ({:?}, policy {}): {e}",
-                    graph.name,
-                    machine,
-                    algorithm,
-                    policy.label()
-                ),
-                Err(_) => return None,
-            };
-            if verify {
-                // The schedule to audit is the one actually produced — of the
-                // unrolled body when an unrolling policy kicked in.
+impl<'a> CorpusRun<'a> {
+    fn new(
+        machine: &'a MachineConfig,
+        algorithm: Algorithm,
+        policies: Vec<UnrollPolicy>,
+        verify: bool,
+        lint: bool,
+    ) -> Self {
+        Self {
+            machine,
+            algorithm,
+            policies,
+            verify,
+            lint,
+            code_model: CodeSizeModel::new(machine),
+        }
+    }
+
+    /// Every loop of `corpus`, in parallel, folded into one [`CorpusResult`] per
+    /// policy in policy order.
+    fn run(&self, corpus: &LoopCorpus) -> Vec<CorpusResult> {
+        let rows: Vec<Vec<PerLoop>> = corpus
+            .loops
+            .par_iter()
+            .map(|graph| self.schedule(graph))
+            .collect();
+        self.fold(corpus, rows)
+    }
+
+    /// Schedule one loop under every policy (one shared schedule memo, see
+    /// [`schedule_loop`]) and account each schedule, one entry per policy.
+    fn schedule(&self, graph: &DepGraph) -> Vec<PerLoop> {
+        // The per-loop job boundary: the memo already turns a panic in any of its
+        // schedulings into `ScheduleError::PolicyPanic` for the policies that read
+        // it; this boundary contains one anywhere else in the scheduling stack
+        // instead of unwinding through the rayon pool and killing the entire
+        // sweep.  A plain run then counts the loop in `failed_loops` (visible in
+        // the result JSON); an audited run still hard-fails with the typed message.
+        let scheduled = vliw_sms::contain(|| {
+            schedule_loop(graph, self.machine, self.algorithm, &self.policies)
+        })
+        .unwrap_or_else(|panic| vec![Err(panic); self.policies.len()]);
+        self.policies
+            .iter()
+            .zip(scheduled)
+            .map(|(&policy, scheduled)| self.account(graph, policy, scheduled))
+            .collect()
+    }
+
+    fn account(
+        &self,
+        graph: &DepGraph,
+        policy: UnrollPolicy,
+        scheduled: Result<ClusterSchedule, ScheduleError>,
+    ) -> PerLoop {
+        let (machine, algorithm, verify, lint) =
+            (self.machine, self.algorithm, self.verify, self.lint);
+        let cs: ClusterSchedule = match scheduled {
+            Ok(cs) => cs,
+            // A plain run counts the loop in `failed_loops` and moves on; an
+            // execution-validated run must not silently lose coverage — an
+            // unschedulable loop on a figure machine is itself an anomaly.
+            Err(e) if verify => panic!(
+                "verify_cells: loop {} failed to schedule on {} ({:?}, policy {}): {e}",
+                graph.name,
+                machine,
+                algorithm,
+                policy.label()
+            ),
+            Err(_) => return None,
+        };
+        if verify {
+            // The schedule to audit is the one actually produced — of the
+            // unrolled body when an unrolling policy kicked in.
+            let report = vliw_sim::check_schedule(
+                machine,
+                &cs.scheduled_graph,
+                &cs.schedule,
+                vliw_sim::verification_iterations(&cs.scheduled_graph),
+            );
+            assert!(
+                report.is_clean(),
+                "verify_cells: loop {} on {} ({:?}, policy {}): {:?}",
+                cs.scheduled_graph.name,
+                machine,
+                algorithm,
+                policy.label(),
+                report.findings
+            );
+            // An exact-model unroll also emits a remainder loop (the original
+            // body's schedule); audit that code too.
+            if let Some(rem) = &cs.remainder {
                 let report = vliw_sim::check_schedule(
                     machine,
-                    &cs.scheduled_graph,
-                    &cs.schedule,
-                    vliw_sim::verification_iterations(&cs.scheduled_graph),
+                    graph,
+                    &rem.schedule,
+                    vliw_sim::verification_iterations(graph),
                 );
                 assert!(
                     report.is_clean(),
-                    "verify_cells: loop {} on {} ({:?}, policy {}): {:?}",
-                    cs.scheduled_graph.name,
+                    "verify_cells: remainder epilogue of loop {} on {} ({:?}, policy {}): {:?}",
+                    graph.name,
                     machine,
                     algorithm,
                     policy.label(),
                     report.findings
                 );
-                // An exact-model unroll also emits a remainder loop (the original
-                // body's schedule); audit that code too.
-                if let Some(rem) = &cs.remainder {
-                    let report = vliw_sim::check_schedule(
-                        machine,
-                        graph,
-                        &rem.schedule,
-                        vliw_sim::verification_iterations(graph),
-                    );
-                    assert!(
-                        report.is_clean(),
-                        "verify_cells: remainder epilogue of loop {} on {} ({:?}, policy {}): {:?}",
-                        graph.name,
-                        machine,
-                        algorithm,
-                        policy.label(),
-                        report.findings
-                    );
-                }
             }
-            if lint {
-                // The static counterpart of the execution audit above: certify the
-                // produced kernel (and the exact-unroll remainder) with the lint
-                // framework's deny-level invariants, no replay involved.
+        }
+        if lint {
+            // The static counterpart of the execution audit above: certify the
+            // produced kernel (and the exact-unroll remainder) with the lint
+            // framework's deny-level invariants, no replay involved.
+            let report = vliw_lint::Certifier::new(machine).check(
+                &cs.scheduled_graph,
+                &cs.schedule,
+                vliw_sim::verification_iterations(&cs.scheduled_graph),
+            );
+            assert!(
+                report.is_certified(),
+                "lint_cells: loop {} on {} ({:?}, policy {}): {:?}",
+                cs.scheduled_graph.name,
+                machine,
+                algorithm,
+                policy.label(),
+                report.diagnostics
+            );
+            if let Some(rem) = &cs.remainder {
                 let report = vliw_lint::Certifier::new(machine).check(
-                    &cs.scheduled_graph,
-                    &cs.schedule,
-                    vliw_sim::verification_iterations(&cs.scheduled_graph),
+                    graph,
+                    &rem.schedule,
+                    vliw_sim::verification_iterations(graph),
                 );
                 assert!(
                     report.is_certified(),
-                    "lint_cells: loop {} on {} ({:?}, policy {}): {:?}",
-                    cs.scheduled_graph.name,
+                    "lint_cells: remainder epilogue of loop {} on {} ({:?}, policy {}): {:?}",
+                    graph.name,
                     machine,
                     algorithm,
                     policy.label(),
                     report.diagnostics
                 );
-                if let Some(rem) = &cs.remainder {
-                    let report = vliw_lint::Certifier::new(machine).check(
-                        graph,
-                        &rem.schedule,
-                        vliw_sim::verification_iterations(graph),
-                    );
-                    assert!(
-                        report.is_certified(),
-                        "lint_cells: remainder epilogue of loop {} on {} ({:?}, policy {}): {:?}",
-                        graph.name,
-                        machine,
-                        algorithm,
-                        policy.label(),
-                        report.diagnostics
-                    );
-                }
-            }
-            let contribution = LoopContribution::new(
-                &cs.schedule,
-                cs.scheduled_graph.iterations,
-                cs.original_ops,
-                cs.original_iterations,
-                cs.invocations,
-                cs.unroll_factor,
-            )
-            .with_epilogue_cycles(cs.epilogue_cycles_per_invocation());
-            let size = cs.code_size(&code_model);
-            Some((contribution, size, cs.unroll_factor > 1, cs.diagnostics))
-        })
-        .collect();
-
-    let mut acc = IpcAccountant::new();
-    let mut code = CodeSizeReport::zero();
-    let mut diagnostics = CorpusDiagnostics::default();
-    let mut unrolled_loops = 0usize;
-    let mut failed_loops = 0usize;
-    for entry in per_loop {
-        match entry {
-            None => failed_loops += 1,
-            Some((contribution, size, unrolled, diag)) => {
-                if unrolled {
-                    unrolled_loops += 1;
-                }
-                acc.add(contribution);
-                code.accumulate(size);
-                diagnostics.absorb(&diag);
             }
         }
+        let contribution = LoopContribution::new(
+            &cs.schedule,
+            cs.scheduled_graph.iterations,
+            cs.original_ops,
+            cs.original_iterations,
+            cs.invocations,
+            cs.unroll_factor,
+        )
+        .with_epilogue_cycles(cs.epilogue_cycles_per_invocation());
+        let size = cs.code_size(&self.code_model);
+        Some((contribution, size, cs.unroll_factor > 1, cs.diagnostics))
     }
-    CorpusResult {
-        benchmark: corpus.benchmark.name().to_string(),
-        machine: machine.name.clone(),
-        algorithm,
-        policy: policy.label(),
-        ipc: acc.ipc(),
-        unrolled_loops,
-        failed_loops,
-        code_size: code,
-        contributions: acc.contributions().to_vec(),
-        diagnostics,
+
+    /// Fold the per-loop rows of `corpus`, in loop order, into one [`CorpusResult`]
+    /// per policy.
+    fn fold(
+        &self,
+        corpus: &LoopCorpus,
+        rows: impl IntoIterator<Item = Vec<PerLoop>>,
+    ) -> Vec<CorpusResult> {
+        let mut columns: Vec<Vec<PerLoop>> = self
+            .policies
+            .iter()
+            .map(|_| Vec::with_capacity(corpus.len()))
+            .collect();
+        for row in rows {
+            for (column, entry) in columns.iter_mut().zip(row) {
+                column.push(entry);
+            }
+        }
+        self.policies
+            .iter()
+            .zip(columns)
+            .map(|(&policy, column)| {
+                let mut acc = IpcAccountant::new();
+                let mut code = CodeSizeReport::zero();
+                let mut diagnostics = CorpusDiagnostics::default();
+                let mut unrolled_loops = 0usize;
+                let mut failed_loops = 0usize;
+                for entry in column {
+                    match entry {
+                        None => failed_loops += 1,
+                        Some((contribution, size, unrolled, diag)) => {
+                            if unrolled {
+                                unrolled_loops += 1;
+                            }
+                            acc.add(contribution);
+                            code.accumulate(size);
+                            diagnostics.absorb(&diag);
+                        }
+                    }
+                }
+                CorpusResult {
+                    benchmark: corpus.benchmark.name().to_string(),
+                    machine: self.machine.name.clone(),
+                    algorithm: self.algorithm,
+                    policy: policy.label(),
+                    ipc: acc.ipc(),
+                    unrolled_loops,
+                    failed_loops,
+                    code_size: code,
+                    contributions: acc.contributions().to_vec(),
+                    diagnostics,
+                }
+            })
+            .collect()
     }
 }
 

@@ -12,8 +12,9 @@
 //! runs and thread counts and sits in the golden byte-identity suite next to the
 //! figure artifacts themselves.
 
-use crate::sweep::{Sweep, SweepJob};
+use crate::sweep::{job_groups, Sweep, SweepJob};
 use crate::{figures, schedule_loop};
+use cvliw_core::UnrollPolicy;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -84,52 +85,91 @@ impl LintAuditReport {
     }
 }
 
+impl JobAudit {
+    /// An audit of `job` that has seen no loop yet.
+    fn empty((machine, algorithm, policy): &SweepJob) -> Self {
+        Self {
+            machine: machine.name.clone(),
+            algorithm: algorithm.label().to_string(),
+            policy: policy.label(),
+            schedules: 0,
+            certified: 0,
+            unschedulable: 0,
+            warnings: BTreeMap::new(),
+            deny_reports: Vec::new(),
+        }
+    }
+
+    /// Certify one schedule of `graph` and fold the outcome in.
+    fn certify(&mut self, certifier: &Certifier, graph: &DepGraph, sched: &ModuloSchedule) {
+        let report = certifier.check(graph, sched, verification_iterations(graph));
+        self.schedules += 1;
+        for id in report.warn_ids() {
+            *self.warnings.entry(id).or_insert(0) += 1;
+        }
+        if report.is_certified() {
+            self.certified += 1;
+        } else {
+            self.deny_reports.push(report);
+        }
+    }
+
+    /// Fold in the audit of later loops of the same job.
+    fn absorb(&mut self, later: JobAudit) {
+        self.schedules += later.schedules;
+        self.certified += later.certified;
+        self.unschedulable += later.unschedulable;
+        for (id, n) in later.warnings {
+            *self.warnings.entry(id).or_insert(0) += n;
+        }
+        self.deny_reports.extend(later.deny_reports);
+    }
+}
+
 /// Audit `jobs` over `corpora`: schedule every loop of every corpus under each job
-/// and certify every produced schedule (kernel and remainder).  Jobs run
-/// rayon-parallel; the fold is in job order, so the report is deterministic.
+/// and certify every produced schedule (kernel and remainder).  The jobs are
+/// grouped by machine structure and algorithm, and the policies of a group read
+/// one schedule memo per loop, so each loop body is scheduled once per group.  The
+/// `(group, loop)` units run rayon-parallel; each job folds its units in loop
+/// order, so the report is deterministic.
 pub fn audit_jobs(jobs: &[SweepJob], corpora: &[LoopCorpus]) -> LintAuditReport {
-    let job_audits: Vec<JobAudit> = jobs
+    let groups = job_groups(jobs);
+    let loops: Vec<&DepGraph> = corpora.iter().flat_map(|c| &c.loops).collect();
+    let units: Vec<(usize, usize)> = (0..groups.len())
+        .flat_map(|g| (0..loops.len()).map(move |l| (g, l)))
+        .collect();
+    let unit_audits: Vec<Vec<JobAudit>> = units
         .par_iter()
-        .map(|(machine, algorithm, policy)| {
+        .map(|&(g, l)| {
+            let (machine, algorithm, _) = &jobs[groups[g][0]];
+            let policies: Vec<UnrollPolicy> = groups[g].iter().map(|&j| jobs[j].2).collect();
             let certifier = Certifier::new(machine);
-            let mut audit = JobAudit {
-                machine: machine.name.clone(),
-                algorithm: algorithm.label().to_string(),
-                policy: policy.label(),
-                schedules: 0,
-                certified: 0,
-                unschedulable: 0,
-                warnings: BTreeMap::new(),
-                deny_reports: Vec::new(),
-            };
-            let certify = |audit: &mut JobAudit, graph: &DepGraph, sched: &ModuloSchedule| {
-                let report = certifier.check(graph, sched, verification_iterations(graph));
-                audit.schedules += 1;
-                for id in report.warn_ids() {
-                    *audit.warnings.entry(id).or_insert(0) += 1;
-                }
-                if report.is_certified() {
-                    audit.certified += 1;
-                } else {
-                    audit.deny_reports.push(report);
-                }
-            };
-            for corpus in corpora {
-                for graph in &corpus.loops {
-                    match schedule_loop(graph, machine, *algorithm, *policy) {
+            let graph = loops[l];
+            groups[g]
+                .iter()
+                .zip(schedule_loop(graph, machine, *algorithm, &policies))
+                .map(|(&j, scheduled)| {
+                    let mut audit = JobAudit::empty(&jobs[j]);
+                    match scheduled {
                         Err(_) => audit.unschedulable += 1,
                         Ok(cs) => {
-                            certify(&mut audit, &cs.scheduled_graph, &cs.schedule);
+                            audit.certify(&certifier, &cs.scheduled_graph, &cs.schedule);
                             if let Some(rem) = &cs.remainder {
-                                certify(&mut audit, graph, &rem.schedule);
+                                audit.certify(&certifier, graph, &rem.schedule);
                             }
                         }
                     }
-                }
-            }
-            audit
+                    audit
+                })
+                .collect()
         })
         .collect();
+    let mut job_audits: Vec<JobAudit> = jobs.iter().map(JobAudit::empty).collect();
+    for (&(g, _), audits) in units.iter().zip(unit_audits) {
+        for (&j, audit) in groups[g].iter().zip(audits) {
+            job_audits[j].absorb(audit);
+        }
+    }
 
     let mut report = LintAuditReport {
         corpora: corpora

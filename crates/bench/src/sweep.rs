@@ -13,9 +13,12 @@
 //! 1. deduplicates every `(machine, algorithm, policy)` job — machines compare by
 //!    *structure*, not name, so the unified counterparts of `2-cluster/1-bus` and
 //!    `2-cluster/2-bus` (identical total resources) collapse into one baseline job;
-//! 2. executes the unique `(job, corpus)` pairs rayon-parallel (the nested per-loop
-//!    parallelism inside [`crate::run_corpus`] automatically degrades to sequential on pool
-//!    workers, so the machine is never oversubscribed);
+//! 2. groups the unique jobs by `(machine structure, algorithm)` and executes the
+//!    `(group, corpus, loop)` units rayon-parallel.  The policies of one group share
+//!    one schedule memo per loop
+//!    ([`cvliw_core::SelectiveUnroller::schedule_with_policies`]): the original body
+//!    and each unrolled kernel are scheduled once, so `Explore` reuses the kernels of
+//!    the `Fixed(u)` jobs and `Selective` the schedules of `None` and `ByClusters`;
 //! 3. reassembles per-cell outcomes in declaration order, attaching the memoized
 //!    baseline and the relative IPC.
 //!
@@ -30,12 +33,13 @@
 //! a bounded per-loop replay.  The audit only observes, so validated outputs remain
 //! byte-identical; a violation aborts the run with the offending loop and machine.
 
-use crate::{Algorithm, CorpusResult};
+use crate::{Algorithm, CorpusResult, CorpusRun};
 use cvliw_core::UnrollPolicy;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vliw_arch::MachineConfig;
+use vliw_ddg::DepGraph;
 use vliw_workloads::LoopCorpus;
 
 /// Identifier of one declared cell, returned by [`Sweep::cell`] and accepted by
@@ -207,35 +211,54 @@ impl Sweep {
         self.dedup_jobs().0
     }
 
-    /// Execute every `(cell, corpus)` job (rayon-parallel over the deduplicated job
-    /// list) and assemble the outcomes.
+    /// Execute every `(cell, corpus)` job (rayon-parallel over the loops of the
+    /// deduplicated jobs, grouped by machine structure and algorithm) and assemble
+    /// the outcomes.
     pub fn run(&self, corpora: &[LoopCorpus]) -> SweepResults {
         // 1. Deduplicate (machine, algorithm, policy) jobs structurally.  Job order —
         // and therefore execution order — follows first declaration, keeping runs
         // deterministic.
         let (jobs, cell_jobs) = self.dedup_jobs();
 
-        // 2. Run the unique (job, corpus) pairs in parallel.  One flat list gives the
-        // chunked scheduler enough cells to balance the very uneven job costs.
-        let pairs: Vec<(usize, usize)> = (0..jobs.len())
-            .flat_map(|j| (0..corpora.len()).map(move |c| (j, c)))
-            .collect();
-        let (verify, lint) = (self.verify, self.lint);
-        let flat: Vec<Arc<CorpusResult>> = pairs
-            .par_iter()
-            .map(|&(j, c)| {
-                let (machine, algorithm, policy) = &jobs[j];
-                Arc::new(crate::run_corpus_audited(
-                    &corpora[c],
-                    machine,
-                    *algorithm,
-                    *policy,
-                    verify,
-                    lint,
-                ))
+        // 2. Group the jobs by (machine structure, algorithm): the policies of one
+        // group share one schedule memo per loop.  Every (group, corpus, loop) unit
+        // runs in parallel — one flat list gives the chunked scheduler enough units
+        // to balance the very uneven loop costs — and the units are folded back
+        // into per-(job, corpus) results in order.
+        let groups = job_groups(&jobs);
+        let runs: Vec<CorpusRun<'_>> = groups
+            .iter()
+            .map(|members| {
+                let (machine, algorithm, _) = &jobs[members[0]];
+                let policies = members.iter().map(|&j| jobs[j].2).collect();
+                CorpusRun::new(machine, *algorithm, policies, self.verify, self.lint)
             })
             .collect();
-        let result_of = |job: usize, corpus: usize| flat[job * corpora.len() + corpus].clone();
+        let units: Vec<(usize, &DepGraph)> = (0..groups.len())
+            .flat_map(|g| {
+                corpora
+                    .iter()
+                    .flat_map(move |c| c.loops.iter().map(move |l| (g, l)))
+            })
+            .collect();
+        let rows: Vec<_> = units
+            .par_iter()
+            .map(|&(g, graph)| runs[g].schedule(graph))
+            .collect();
+        let mut rows = rows.into_iter();
+        // `results[job][corpus]`.
+        let mut results: Vec<Vec<Arc<CorpusResult>>> = vec![Vec::new(); jobs.len()];
+        for (members, run) in groups.iter().zip(&runs) {
+            for corpus in corpora {
+                let folded = run.fold(corpus, rows.by_ref().take(corpus.len()));
+                for (&j, mut result) in members.iter().zip(folded) {
+                    // A group shares the machine's structure, not its name.
+                    result.machine.clone_from(&jobs[j].0.name);
+                    results[j].push(Arc::new(result));
+                }
+            }
+        }
+        let result_of = |job: usize, corpus: usize| results[job][corpus].clone();
 
         // 3. Assemble the per-cell outcomes in declaration order.
         let cells = cell_jobs
@@ -265,9 +288,10 @@ impl Sweep {
     }
 }
 
-/// Structural job key: the machine *configuration* (name excluded — two differently
-/// named but identical machines schedule identically), the algorithm and the policy.
-fn job_key(machine: &MachineConfig, algorithm: Algorithm, policy: UnrollPolicy) -> String {
+/// Structural key of a machine and an algorithm: the machine *configuration* (name
+/// excluded — two differently named but identical machines schedule identically)
+/// and the algorithm.
+fn group_key(machine: &MachineConfig, algorithm: Algorithm) -> String {
     let structure = serde_json::to_string(&(
         machine.n_clusters,
         &machine.cluster,
@@ -275,7 +299,31 @@ fn job_key(machine: &MachineConfig, algorithm: Algorithm, policy: UnrollPolicy) 
         &machine.latencies,
     ))
     .expect("machine structure serializes");
-    format!("{algorithm:?}|{policy:?}|{structure}")
+    format!("{algorithm:?}|{structure}")
+}
+
+/// Structural job key: the [`group_key`] and the policy.
+fn job_key(machine: &MachineConfig, algorithm: Algorithm, policy: UnrollPolicy) -> String {
+    format!("{}|{policy:?}", group_key(machine, algorithm))
+}
+
+/// The indices of `jobs` grouped by machine structure and algorithm, groups and
+/// members in first-declaration order.  The policies of one group differ only in
+/// how they unroll the same loops on the same machine, so they read one schedule
+/// memo per loop ([`cvliw_core::SelectiveUnroller::schedule_with_policies`]).
+pub(crate) fn job_groups(jobs: &[SweepJob]) -> Vec<Vec<usize>> {
+    let mut group_index: HashMap<String, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (j, (machine, algorithm, _)) in jobs.iter().enumerate() {
+        let g = *group_index
+            .entry(group_key(machine, *algorithm))
+            .or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+        groups[g].push(j);
+    }
+    groups
 }
 
 /// The outcomes of a [`Sweep::run`], indexed by [`CellId`] and corpus position.
@@ -466,6 +514,32 @@ mod tests {
         for (x, y) in a.cell(id).iter().zip(b.cell(lid)) {
             assert_eq!(x.result.ipc, y.result.ipc);
             assert_eq!(x.relative_ipc, y.relative_ipc);
+        }
+    }
+
+    #[test]
+    fn grouped_jobs_match_direct_runs_and_keep_their_machine_names() {
+        // Same structure under another name: one group, two policies.
+        let machine = MachineConfig::two_cluster(1, 1);
+        let mut renamed = machine.clone();
+        renamed.name = "renamed".to_string();
+        let corpora = small_corpora();
+        let mut sweep = Sweep::new();
+        let a = sweep.cell(machine.clone(), Algorithm::Bsa, UnrollPolicy::None);
+        let b = sweep.cell(renamed.clone(), Algorithm::Bsa, UnrollPolicy::Fixed(3));
+        assert_eq!(job_groups(&sweep.jobs()), vec![vec![0, 1]]);
+        let results = sweep.run(&corpora);
+        for (id, machine, policy) in [
+            (a, &machine, UnrollPolicy::None),
+            (b, &renamed, UnrollPolicy::Fixed(3)),
+        ] {
+            for (corpus, outcome) in corpora.iter().zip(results.cell(id)) {
+                let direct = run_corpus(corpus, machine, Algorithm::Bsa, policy);
+                assert_eq!(
+                    serde_json::to_string(&*outcome.result).unwrap(),
+                    serde_json::to_string(&direct).unwrap()
+                );
+            }
         }
     }
 

@@ -28,6 +28,14 @@
 //!   candidate is register-limited and fails to win, larger factors are not tried —
 //!   `MaxLive` pressure only grows with the factor.
 //!
+//! Every policy reads one lazy per-loop memo
+//! ([`SelectiveUnroller::schedule_with_policies`]): the original body, each
+//! exact-unroll kernel and the paper-model kernel are scheduled at most once per
+//! loop, however many policies read them.  `Fixed(u)` and `Explore` share the
+//! kernels of a factor sweep, `None`, `Fixed(1)` and the first step of `Selective`
+//! share the original body, and `Selective` shares its unrolled kernel with
+//! `ByClusters`.
+//!
 //! `ByClusters` and `Selective` deliberately keep the paper's iteration model
 //! ([`vliw_ddg::unroll`](fn@vliw_ddg::unroll), `⌈NITER/U⌉` kernel iterations with the overshoot charged
 //! to the kernel): the committed figure artifacts reproduce the paper's published
@@ -46,9 +54,10 @@
 
 use crate::result::{ClusterSchedule, LoopScheduler, RemainderEpilogue};
 use serde::{Deserialize, Serialize};
-use vliw_ddg::{unroll, unroll_exact, unroll_exact_with, DepGraph, UnrollScratch};
+use std::collections::BTreeMap;
+use vliw_ddg::{unroll, unroll_exact, DepGraph, UnrolledLoop};
 use vliw_metrics::CodeSizeModel;
-use vliw_sms::{LimitingResource, ScheduleError};
+use vliw_sms::{contain_schedule, LimitingResource, ScheduleError, ScheduledLoop};
 
 /// Which unrolling policy to apply before scheduling a loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -132,188 +141,39 @@ impl<S: LoopScheduler> SelectiveUnroller<S> {
         self
     }
 
-    /// Schedule `graph` with the given policy.
+    /// Schedule `graph` with the given policy: the one-policy case of
+    /// [`Self::schedule_with_policies`].
     pub fn schedule_with_policy(
         &self,
         graph: &DepGraph,
         policy: UnrollPolicy,
     ) -> Result<ClusterSchedule, ScheduleError> {
-        match policy {
-            UnrollPolicy::None => self.schedule_original(graph),
-            UnrollPolicy::Fixed(factor) => self.schedule_fixed(graph, factor),
-            UnrollPolicy::ByClusters => self.schedule_unrolled(graph),
-            UnrollPolicy::Selective => self.schedule_selective(graph),
-            UnrollPolicy::Explore { max_factor } => self.schedule_explore(graph, max_factor),
-        }
+        LoopMemo::new(self, graph).schedule(policy)
     }
 
-    /// Schedule the original body.
-    pub fn schedule_original(&self, graph: &DepGraph) -> Result<ClusterSchedule, ScheduleError> {
-        let scheduled = self.scheduler.schedule_loop(graph)?;
-        Ok(ClusterSchedule::from_original(graph, scheduled))
-    }
-
-    /// Unroll by the number of clusters unconditionally, then schedule (the paper's
-    /// iteration model).
+    /// Schedule `graph` under every policy of `policies`, one result per policy in
+    /// input order.
     ///
-    /// If the unrolled body cannot be scheduled at all (e.g. the per-cluster register
-    /// file cannot hold its live values at any initiation interval), the original body
-    /// is scheduled instead — a compiler would never trade a working loop for an
-    /// unschedulable one.
-    pub fn schedule_unrolled(&self, graph: &DepGraph) -> Result<ClusterSchedule, ScheduleError> {
-        let factor = self.unroll_factor();
-        if factor <= 1 {
-            return self.schedule_original(graph);
-        }
-        let unrolled = unroll(graph, factor);
-        match self.scheduler.schedule_loop(&unrolled) {
-            Ok(scheduled) => Ok(ClusterSchedule::from_unrolled(
-                graph, unrolled, scheduled, factor,
-            )),
-            Err(_) => self.schedule_original(graph),
-        }
-    }
-
-    /// Unroll by an explicit `factor` under the exact iteration model: the kernel
-    /// covers `⌊NITER/factor⌋` iterations; the leftover `NITER mod factor`
-    /// iterations are drained by a remainder epilogue running the *original* body's
-    /// schedule.
+    /// The policies share one lazy per-loop memo: the original body, each
+    /// exact-unroll kernel and the paper-model kernel are scheduled at most once for
+    /// the whole list, so the nine `fig_unroll` policies (`Fixed(1..=8)` and
+    /// `Explore { max_factor: 8 }`) cost eight schedulings instead of the 23 they
+    /// need one by one.  Each result equals what [`Self::schedule_with_policy`]
+    /// returns for that policy alone (scheduling is deterministic).
     ///
-    /// Falls back to the original body when the factor is trivial, exceeds the trip
-    /// count (the kernel would never run), or the unrolled kernel cannot be
-    /// scheduled.
-    ///
-    /// When the factor does not divide the trip count, producing the epilogue costs
-    /// one scheduling of the original body on top of the kernel's.  A sweep over
-    /// many factors of the same loop pays that per factor — sweep cells are
-    /// independent by design; [`Self::schedule_explore`] is the entry point that
-    /// shares the original-body schedule across all candidate factors.
-    pub fn schedule_fixed(
+    /// Every memo fill runs behind [`vliw_sms::contain_schedule`]: a panic is kept as
+    /// that entry's [`ScheduleError::PolicyPanic`] and fails exactly the policies
+    /// that read the entry.
+    pub fn schedule_with_policies(
         &self,
         graph: &DepGraph,
-        factor: u32,
-    ) -> Result<ClusterSchedule, ScheduleError> {
-        if factor <= 1 || factor as u64 > graph.iterations {
-            return self.schedule_original(graph);
-        }
-        let unrolled = unroll_exact(graph, factor);
-        match self.scheduler.schedule_loop(&unrolled.kernel) {
-            Ok(scheduled) => {
-                let remainder = self.remainder_epilogue(graph, unrolled.remainder_iterations)?;
-                Ok(ClusterSchedule::from_unrolled_exact(
-                    graph,
-                    unrolled.kernel,
-                    scheduled,
-                    factor,
-                    remainder,
-                ))
-            }
-            Err(_) => self.schedule_original(graph),
-        }
-    }
-
-    /// Schedule every candidate factor `1..=max_factor` and keep the best one.
-    ///
-    /// The winner maximizes IPC (exact remainder accounting included) among the
-    /// candidates whose static code size — kernel plus remainder loop, from the
-    /// machine's [`CodeSizeModel`] — stays within the
-    /// [`SelectiveUnroller::with_explore_code_growth`] budget.  The factor-1
-    /// schedule is always a candidate, so `Explore` never returns a schedule worse
-    /// than [`UnrollPolicy::None`]; it is computed once and reused both as the
-    /// fallback winner and as every candidate's remainder epilogue.  Candidate
-    /// factors that cannot be scheduled are skipped; the engine's diagnostics cut
-    /// the search short once a register-limited candidate fails to win (register
-    /// pressure only grows with the factor).
-    pub fn schedule_explore(
-        &self,
-        graph: &DepGraph,
-        max_factor: u32,
-    ) -> Result<ClusterSchedule, ScheduleError> {
-        let base = self.schedule_original(graph)?;
-        if max_factor <= 1 {
-            return Ok(base);
-        }
-        let model = CodeSizeModel::new(self.scheduler.machine());
-        let budget = base.code_size(&model).total_slots as f64 * self.explore_code_growth;
-        // The factor-1 schedule doubles as every candidate's remainder epilogue.
-        let base_schedule = base.schedule.clone();
-        let mut best_ipc = base.ipc();
-        let mut best = base;
-        // One allocation arena for the whole sweep: every candidate kernel draws its
-        // adjacency storage from the scratch and donates it back when it loses.
-        let mut scratch = UnrollScratch::new();
-        for factor in 2..=max_factor {
-            if factor as u64 > graph.iterations {
-                break;
-            }
-            let unrolled = unroll_exact_with(&mut scratch, graph, factor);
-            let Ok(scheduled) = self.scheduler.schedule_loop(&unrolled.kernel) else {
-                // Unschedulable at this factor (typically the register file); larger
-                // factors may still differ, so keep scanning within the budget.
-                scratch.recycle(unrolled.kernel);
-                continue;
-            };
-            let remainder = (unrolled.remainder_iterations > 0).then(|| RemainderEpilogue {
-                schedule: base_schedule.clone(),
-                iterations: unrolled.remainder_iterations,
-            });
-            let candidate = ClusterSchedule::from_unrolled_exact(
-                graph,
-                unrolled.kernel,
-                scheduled,
-                factor,
-                remainder,
-            );
-            let register_limited =
-                matches!(candidate.diagnostics.limiting, LimitingResource::Registers);
-            let within_budget = candidate.code_size(&model).total_slots as f64 <= budget;
-            let ipc = candidate.ipc();
-            if within_budget && ipc > best_ipc {
-                best_ipc = ipc;
-                scratch.recycle(std::mem::replace(&mut best, candidate).scheduled_graph);
-            } else {
-                scratch.recycle(candidate.scheduled_graph);
-                if register_limited {
-                    break;
-                }
-            }
-        }
-        Ok(best)
-    }
-
-    /// The selective-unrolling algorithm of Figure 6.
-    pub fn schedule_selective(&self, graph: &DepGraph) -> Result<ClusterSchedule, ScheduleError> {
-        // (1) Compute the schedule of the original graph.
-        let scheduled = self.scheduler.schedule_loop(graph)?;
-        // (2) Only bus-limited schedules are candidates for unrolling.  The predicate
-        // comes from the engine's structured diagnostics: the II search had to leave
-        // MII behind because of bus saturation (`LimitingResource::Bus`).
-        if !scheduled.diagnostics.limited_by_bus() {
-            return Ok(ClusterSchedule::from_original(graph, scheduled));
-        }
-        let machine = self.scheduler.machine();
-        let ufactor = self.unroll_factor();
-        if ufactor <= 1 || machine.buses.count == 0 {
-            return Ok(ClusterSchedule::from_original(graph, scheduled));
-        }
-        // (4)-(5) The analytical estimate of the unrolled body's bus traffic.
-        let cycneeded = self.fig6_cycneeded(graph, ufactor);
-        // (6) Unroll only if the communications fit *strictly* under the current II
-        // (at equality the transfers exactly fill the window — nothing is gained).
-        // Keep the original schedule when the unrolled body turns out to be
-        // unschedulable.
-        if cycneeded < scheduled.schedule.ii() as u64 {
-            let unrolled = unroll(graph, ufactor);
-            if let Ok(unrolled_sched) = self.scheduler.schedule_loop(&unrolled) {
-                return Ok(ClusterSchedule::from_unrolled(
-                    graph,
-                    unrolled,
-                    unrolled_sched,
-                    ufactor,
-                ));
-            }
-        }
-        Ok(ClusterSchedule::from_original(graph, scheduled))
+        policies: &[UnrollPolicy],
+    ) -> Vec<Result<ClusterSchedule, ScheduleError>> {
+        let mut memo = LoopMemo::new(self, graph);
+        policies
+            .iter()
+            .map(|&policy| memo.schedule(policy))
+            .collect()
     }
 
     /// The Figure-6 estimate of the bus cycles one unrolled iteration needs:
@@ -330,22 +190,221 @@ impl<S: LoopScheduler> SelectiveUnroller<S> {
     pub fn unroll_factor(&self) -> u32 {
         self.scheduler.machine().n_clusters as u32
     }
+}
 
-    /// Schedule the remainder epilogue (the original body, `r` iterations), or
-    /// `None` when there is nothing left over.
-    fn remainder_epilogue(
-        &self,
-        graph: &DepGraph,
-        r: u64,
-    ) -> Result<Option<RemainderEpilogue>, ScheduleError> {
-        if r == 0 {
-            return Ok(None);
+/// An exact-unroll kernel and its schedule.
+type ExactKernel = (UnrolledLoop, ScheduledLoop);
+
+/// The schedules of one loop, filled on first read and shared by every policy read
+/// through the memo: the original body, each exact-unroll kernel
+/// `unroll_exact(graph, u)` and the paper-model kernel `unroll(graph, n_clusters)`.
+///
+/// A policy whose kernel fails to schedule falls back to the original body (or, in
+/// `Explore`, skips the factor) — but never past a contained panic, which fails the
+/// policy as the uncontained panic would have.
+struct LoopMemo<'a, S> {
+    unroller: &'a SelectiveUnroller<S>,
+    graph: &'a DepGraph,
+    base: Option<Result<ScheduledLoop, ScheduleError>>,
+    exact: BTreeMap<u32, Result<ExactKernel, ScheduleError>>,
+    paper: Option<Result<(DepGraph, ScheduledLoop), ScheduleError>>,
+}
+
+impl<'a, S: LoopScheduler> LoopMemo<'a, S> {
+    fn new(unroller: &'a SelectiveUnroller<S>, graph: &'a DepGraph) -> Self {
+        Self {
+            unroller,
+            graph,
+            base: None,
+            exact: BTreeMap::new(),
+            paper: None,
         }
-        let original = self.scheduler.schedule_loop(graph)?;
-        Ok(Some(RemainderEpilogue {
-            schedule: original.schedule,
-            iterations: r,
-        }))
+    }
+
+    fn schedule(&mut self, policy: UnrollPolicy) -> Result<ClusterSchedule, ScheduleError> {
+        match policy {
+            UnrollPolicy::None => self.original(),
+            UnrollPolicy::Fixed(factor) => self.schedule_fixed(factor),
+            UnrollPolicy::ByClusters => self.schedule_unrolled(),
+            UnrollPolicy::Selective => self.schedule_selective(),
+            UnrollPolicy::Explore { max_factor } => self.schedule_explore(max_factor),
+        }
+    }
+
+    /// The original body's schedule.
+    fn base(&mut self) -> Result<ScheduledLoop, ScheduleError> {
+        let (scheduler, graph) = (&self.unroller.scheduler, self.graph);
+        self.base
+            .get_or_insert_with(|| contain_schedule(|| scheduler.schedule_loop(graph)))
+            .clone()
+    }
+
+    /// The original body as a cluster schedule.
+    fn original(&mut self) -> Result<ClusterSchedule, ScheduleError> {
+        Ok(ClusterSchedule::from_original(self.graph, self.base()?))
+    }
+
+    /// The fallback of a policy whose kernel failed: the original body, unless the
+    /// failure is a contained panic.
+    fn or_original(&mut self, failure: ScheduleError) -> Result<ClusterSchedule, ScheduleError> {
+        match failure {
+            ScheduleError::PolicyPanic { .. } => Err(failure),
+            _ => self.original(),
+        }
+    }
+
+    /// The exact-unroll kernel by `factor` as a cluster schedule: the kernel covers
+    /// `⌊NITER/factor⌋` iterations and, when `factor ∤ NITER`, a remainder epilogue
+    /// runs the original body's schedule for the leftover `NITER mod factor`.
+    fn exact(&mut self, factor: u32) -> Result<ClusterSchedule, ScheduleError> {
+        let (scheduler, graph) = (&self.unroller.scheduler, self.graph);
+        let (unrolled, scheduled) = self
+            .exact
+            .entry(factor)
+            .or_insert_with(|| {
+                contain_schedule(|| {
+                    let unrolled = unroll_exact(graph, factor);
+                    let scheduled = scheduler.schedule_loop(&unrolled.kernel)?;
+                    Ok((unrolled, scheduled))
+                })
+            })
+            .clone()?;
+        let remainder = match unrolled.remainder_iterations {
+            0 => None,
+            iterations => Some(RemainderEpilogue {
+                schedule: self.base()?.schedule,
+                iterations,
+            }),
+        };
+        Ok(ClusterSchedule::from_unrolled_exact(
+            graph,
+            unrolled.kernel,
+            scheduled,
+            factor,
+            remainder,
+        ))
+    }
+
+    /// The paper-model kernel `unroll(graph, n_clusters)` as a cluster schedule.
+    fn paper(&mut self) -> Result<ClusterSchedule, ScheduleError> {
+        let (unroller, graph) = (self.unroller, self.graph);
+        let factor = unroller.unroll_factor();
+        let (kernel, scheduled) = self
+            .paper
+            .get_or_insert_with(|| {
+                contain_schedule(|| {
+                    let kernel = unroll(graph, factor);
+                    let scheduled = unroller.scheduler.schedule_loop(&kernel)?;
+                    Ok((kernel, scheduled))
+                })
+            })
+            .clone()?;
+        Ok(ClusterSchedule::from_unrolled(
+            graph, kernel, scheduled, factor,
+        ))
+    }
+
+    /// `ByClusters`: unroll by the number of clusters unconditionally (the paper's
+    /// iteration model).
+    ///
+    /// If the unrolled body cannot be scheduled at all (e.g. the per-cluster register
+    /// file cannot hold its live values at any initiation interval), the original
+    /// body is kept instead — a compiler would never trade a working loop for an
+    /// unschedulable one.
+    fn schedule_unrolled(&mut self) -> Result<ClusterSchedule, ScheduleError> {
+        if self.unroller.unroll_factor() <= 1 {
+            return self.original();
+        }
+        self.paper().or_else(|failure| self.or_original(failure))
+    }
+
+    /// `Fixed(factor)`: unroll by an explicit factor under the exact iteration model.
+    ///
+    /// Falls back to the original body when the factor is trivial, exceeds the trip
+    /// count (the kernel would never run), or the unrolled kernel cannot be
+    /// scheduled.  The remainder epilogue and the fallback both read the memo's
+    /// original-body schedule, so over a whole factor sweep of one loop the original
+    /// body is scheduled once and each factor costs one kernel scheduling, shared
+    /// with `Explore`.
+    fn schedule_fixed(&mut self, factor: u32) -> Result<ClusterSchedule, ScheduleError> {
+        if factor <= 1 || factor as u64 > self.graph.iterations {
+            return self.original();
+        }
+        self.exact(factor)
+            .or_else(|failure| self.or_original(failure))
+    }
+
+    /// `Explore { max_factor }`: schedule every candidate factor `1..=max_factor`
+    /// and keep the best one.
+    ///
+    /// The winner maximizes IPC (exact remainder accounting included) among the
+    /// candidates whose static code size — kernel plus remainder loop, from the
+    /// machine's [`CodeSizeModel`] — stays within the
+    /// [`SelectiveUnroller::with_explore_code_growth`] budget.  The factor-1
+    /// schedule is always a candidate, so `Explore` never returns a schedule worse
+    /// than [`UnrollPolicy::None`]; it is also every candidate's remainder
+    /// epilogue.  Candidate factors that cannot be scheduled are skipped; the
+    /// engine's diagnostics cut the search short once a register-limited candidate
+    /// fails to win (register pressure only grows with the factor), and no kernel
+    /// past that break is scheduled.
+    fn schedule_explore(&mut self, max_factor: u32) -> Result<ClusterSchedule, ScheduleError> {
+        let base = self.original()?;
+        if max_factor <= 1 {
+            return Ok(base);
+        }
+        let model = CodeSizeModel::new(self.unroller.scheduler.machine());
+        let budget = base.code_size(&model).total_slots as f64 * self.unroller.explore_code_growth;
+        let mut best_ipc = base.ipc();
+        let mut best = base;
+        for factor in 2..=max_factor {
+            if factor as u64 > self.graph.iterations {
+                break;
+            }
+            let candidate = match self.exact(factor) {
+                Ok(candidate) => candidate,
+                Err(panic @ ScheduleError::PolicyPanic { .. }) => return Err(panic),
+                // Unschedulable at this factor (typically the register file); larger
+                // factors may still differ, so keep scanning within the budget.
+                Err(_) => continue,
+            };
+            let register_limited =
+                matches!(candidate.diagnostics.limiting, LimitingResource::Registers);
+            let within_budget = candidate.code_size(&model).total_slots as f64 <= budget;
+            let ipc = candidate.ipc();
+            if within_budget && ipc > best_ipc {
+                best_ipc = ipc;
+                best = candidate;
+            } else if register_limited {
+                break;
+            }
+        }
+        Ok(best)
+    }
+
+    /// `Selective`: the selective-unrolling algorithm of Figure 6.
+    fn schedule_selective(&mut self) -> Result<ClusterSchedule, ScheduleError> {
+        // (1) Compute the schedule of the original graph.
+        let original = self.original()?;
+        // (2) Only bus-limited schedules are candidates for unrolling.  The predicate
+        // comes from the engine's structured diagnostics: the II search had to leave
+        // MII behind because of bus saturation (`LimitingResource::Bus`).
+        if !original.diagnostics.limited_by_bus() {
+            return Ok(original);
+        }
+        let ufactor = self.unroller.unroll_factor();
+        if ufactor <= 1 || self.unroller.scheduler.machine().buses.count == 0 {
+            return Ok(original);
+        }
+        // (4)-(5) The analytical estimate of the unrolled body's bus traffic.
+        let cycneeded = self.unroller.fig6_cycneeded(self.graph, ufactor);
+        // (6) Unroll only if the communications fit *strictly* under the current II
+        // (at equality the transfers exactly fill the window — nothing is gained).
+        // Keep the original schedule when the unrolled body turns out to be
+        // unschedulable.
+        if cycneeded < original.schedule.ii() as u64 {
+            return self.paper().or_else(|failure| self.or_original(failure));
+        }
+        Ok(original)
     }
 }
 
@@ -353,9 +412,10 @@ impl<S: LoopScheduler> SelectiveUnroller<S> {
 mod tests {
     use super::*;
     use crate::bsa::BsaScheduler;
+    use std::cell::Cell;
     use vliw_arch::{MachineConfig, OpClass};
     use vliw_ddg::GraphBuilder;
-    use vliw_sms::{ModuloSchedule, ScheduleDiagnostics, ScheduledLoop};
+    use vliw_sms::{ModuloSchedule, ScheduleDiagnostics};
 
     /// A loop body with plenty of intra-iteration value traffic but no loop-carried
     /// dependences: the classic case where unrolling lets each cluster run its own
@@ -652,5 +712,141 @@ mod tests {
             .schedule_with_policy(&g, UnrollPolicy::Selective)
             .unwrap();
         assert_eq!(r.unroll_factor, 2, "cycneeded < II must unroll");
+    }
+
+    /// A stub that counts its `schedule_loop` calls.  Every body is scheduled at
+    /// `II = n_nodes`, so each factor's cycles exactly match the original body's and
+    /// no candidate ever wins on IPC; `limiting` decides whether `Explore` stops at
+    /// its first losing candidate (`Registers`) or scans every factor.  The body
+    /// whose name ends in `panic_on` panics.
+    struct CountingStub {
+        machine: MachineConfig,
+        limiting: LimitingResource,
+        panic_on: Option<&'static str>,
+        calls: Cell<usize>,
+    }
+
+    impl CountingStub {
+        fn new(limiting: LimitingResource) -> Self {
+            Self {
+                machine: MachineConfig::two_cluster(1, 1),
+                limiting,
+                panic_on: None,
+                calls: Cell::new(0),
+            }
+        }
+
+        fn panicking_on(mut self, suffix: &'static str) -> Self {
+            self.panic_on = Some(suffix);
+            self
+        }
+    }
+
+    impl LoopScheduler for CountingStub {
+        fn machine(&self) -> &MachineConfig {
+            &self.machine
+        }
+
+        fn schedule_loop(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
+            self.calls.set(self.calls.get() + 1);
+            if self
+                .panic_on
+                .is_some_and(|suffix| graph.name.ends_with(suffix))
+            {
+                panic!("injected fault in {}", graph.name);
+            }
+            let ii = graph.n_nodes() as u32;
+            Ok(ScheduledLoop {
+                schedule: ModuloSchedule::new(&graph.name, graph.n_nodes(), ii, ii),
+                diagnostics: ScheduleDiagnostics {
+                    ii,
+                    mii: ii,
+                    res_mii: ii,
+                    rec_mii: 1,
+                    limiting: self.limiting,
+                    ii_trajectory: Vec::new(),
+                    n_comms: 0,
+                    max_live_per_cluster: vec![0; self.machine.n_clusters],
+                    fuel: None,
+                    rung: None,
+                },
+            })
+        }
+
+        fn name(&self) -> &'static str {
+            "counting-stub"
+        }
+    }
+
+    /// The nine `fig_unroll` policies.
+    fn fig_unroll_policies() -> Vec<UnrollPolicy> {
+        (1..=8)
+            .map(UnrollPolicy::Fixed)
+            .chain([UnrollPolicy::Explore { max_factor: 8 }])
+            .collect()
+    }
+
+    /// `NITER = 101` is prime, so every factor leaves a remainder epilogue.
+    #[test]
+    fn a_shared_memo_schedules_each_body_once() {
+        let g = parallel_loop().with_iterations(101);
+        let shared = SelectiveUnroller::new(CountingStub::new(LimitingResource::FunctionalUnits));
+        let results = shared.schedule_with_policies(&g, &fig_unroll_policies());
+        assert!(results.iter().all(Result::is_ok));
+        // The original body once, the kernels x2..x8 once each.
+        assert_eq!(shared.scheduler().calls.get(), 8);
+
+        // One policy at a time: Fixed(1) schedules the original body, each of
+        // Fixed(2..=8) its kernel and the original body for its remainder, and
+        // Explore the original body and all seven kernels.
+        let single = SelectiveUnroller::new(CountingStub::new(LimitingResource::FunctionalUnits));
+        for (policy, result) in fig_unroll_policies().into_iter().zip(&results) {
+            assert_eq!(&single.schedule_with_policy(&g, policy), result, "{policy}");
+        }
+        assert_eq!(single.scheduler().calls.get(), 1 + 7 * 2 + 8);
+    }
+
+    #[test]
+    fn a_standalone_explore_stops_scheduling_at_its_register_limited_break() {
+        let g = parallel_loop().with_iterations(101);
+        let driver = SelectiveUnroller::new(CountingStub::new(LimitingResource::Registers));
+        let r = driver
+            .schedule_with_policy(&g, UnrollPolicy::Explore { max_factor: 8 })
+            .unwrap();
+        assert_eq!(r.unroll_factor, 1);
+        // The original body and the x2 kernel, which is register-limited and loses.
+        assert_eq!(driver.scheduler().calls.get(), 2);
+    }
+
+    #[test]
+    fn a_panicking_kernel_fails_only_the_policies_that_read_it() {
+        let g = parallel_loop().with_iterations(101);
+        let policies = fig_unroll_policies();
+        for (limiting, explore_reaches_x5) in [
+            (LimitingResource::FunctionalUnits, true),
+            (LimitingResource::Registers, false),
+        ] {
+            let driver = SelectiveUnroller::new(CountingStub::new(limiting).panicking_on("x5"));
+            let results = driver.schedule_with_policies(&g, &policies);
+            for (policy, result) in policies.iter().zip(results) {
+                let reads_x5 = match policy {
+                    UnrollPolicy::Fixed(factor) => *factor == 5,
+                    _ => explore_reaches_x5,
+                };
+                match result {
+                    Err(ScheduleError::PolicyPanic { message }) => {
+                        assert!(reads_x5, "{policy} failed: {message}");
+                        assert_eq!(message, "injected fault in parallelx5");
+                    }
+                    Err(e) => panic!("{policy}: unexpected error {e}"),
+                    Ok(cs) => {
+                        assert!(!reads_x5, "{policy} must fail with the x5 kernel");
+                        if let UnrollPolicy::Fixed(factor) = policy {
+                            assert_eq!(cs.unroll_factor, *factor);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

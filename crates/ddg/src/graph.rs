@@ -152,52 +152,9 @@ impl DepGraph {
             copy: 0,
             original: id,
         });
-        self.ensure_adjacency();
+        self.succs.push(Vec::new());
+        self.preds.push(Vec::new());
         id
-    }
-
-    /// Grow the adjacency vectors to match the node count, unless
-    /// [`DepGraph::arena_prepare`] already installed (recycled) rows for this node.
-    #[inline]
-    fn ensure_adjacency(&mut self) {
-        if self.succs.len() < self.nodes.len() {
-            self.succs.push(Vec::new());
-            self.preds.push(Vec::new());
-        }
-    }
-
-    /// Reserve storage for `n_nodes` nodes and `n_edges` edges, installing adjacency
-    /// rows recycled from `pool` (cleared rows donated by retired graphs via
-    /// [`DepGraph::recycle_into`]).  Arena primitive of `unroll::UnrollScratch`: the
-    /// factor-exploration path re-unrolls the same loop once per candidate factor,
-    /// and without reuse every attempt pays two heap allocations per copied node for
-    /// adjacency alone.  Callable only on an empty graph; the caller must then add
-    /// exactly `n_nodes` nodes so the installed rows line up with the node vector
-    /// (the unroller knows both counts up front).
-    pub(crate) fn arena_prepare(
-        &mut self,
-        n_nodes: usize,
-        n_edges: usize,
-        pool: &mut Vec<Vec<EdgeId>>,
-    ) {
-        assert!(self.nodes.is_empty(), "arena_prepare on a non-empty graph");
-        self.nodes.reserve(n_nodes);
-        self.edges.reserve(n_edges);
-        self.succs.reserve(n_nodes);
-        self.preds.reserve(n_nodes);
-        for _ in 0..n_nodes {
-            self.succs.push(pool.pop().unwrap_or_default());
-            self.preds.push(pool.pop().unwrap_or_default());
-        }
-    }
-
-    /// Dismantle the graph, donating its (cleared) adjacency vectors to `pool` for a
-    /// later [`DepGraph::arena_prepare`] to reuse.
-    pub(crate) fn recycle_into(mut self, pool: &mut Vec<Vec<EdgeId>>) {
-        for mut v in self.succs.drain(..).chain(self.preds.drain(..)) {
-            v.clear();
-            pool.push(v);
-        }
     }
 
     /// Add a node copied from `node` (used by the unroller), preserving class and
@@ -233,7 +190,8 @@ impl DepGraph {
             copy,
             original: node.original,
         });
-        self.ensure_adjacency();
+        self.succs.push(Vec::new());
+        self.preds.push(Vec::new());
         id
     }
 

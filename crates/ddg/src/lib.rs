@@ -40,4 +40,4 @@ pub use builder::GraphBuilder;
 pub use graph::{DepGraph, DepKind, Edge, EdgeId, Node, NodeId};
 pub use mii::{mii, rec_mii, res_mii};
 pub use scc::{recurrences, sccs, Recurrence};
-pub use unroll::{unroll, unroll_exact, unroll_exact_with, UnrollScratch, UnrolledLoop};
+pub use unroll::{unroll, unroll_exact, UnrolledLoop};

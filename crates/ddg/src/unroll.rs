@@ -30,7 +30,7 @@
 //! structurally identical to `unroll(g, a·b)` — same node order, same provenance,
 //! same remapped edges (guarded by tests below).
 
-use crate::graph::{DepGraph, EdgeId, NodeId};
+use crate::graph::{DepGraph, NodeId};
 
 /// An exactly-unrolled loop: the kernel graph plus the leftover iteration count.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,69 +43,26 @@ pub struct UnrolledLoop {
     pub remainder_iterations: u64,
 }
 
-/// Reusable allocation arena for repeated unrolling of the same loop.
-///
-/// The factor-exploration policy (`UnrollPolicy::Explore` in `cvliw_core`) unrolls
-/// one loop once per candidate factor; each unroll builds a graph of `U·n` nodes
-/// whose adjacency lists alone cost two heap allocations per node.  The scratch
-/// keeps the copy→node-id table and a pool of retired adjacency vectors alive
-/// across [`unroll_exact_with`] calls, so a factor sweep allocates adjacency rows
-/// once instead of once per factor.  Graphs produced *with* the scratch are
-/// byte-identical (`==`, and under serde) to graphs produced without it — the
-/// arena only recycles backing storage, never contents.
-#[derive(Debug, Default)]
-pub struct UnrollScratch {
-    /// `ids[copy][original_index]` — the node-id table of the copy being built.
-    ids: Vec<Vec<NodeId>>,
-    /// Cleared adjacency vectors donated by retired kernels, ready for reuse.
-    adjacency: Vec<Vec<EdgeId>>,
-}
-
-impl UnrollScratch {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Donate a retired graph's allocations (typically a losing candidate kernel
-    /// from a factor sweep) back to the arena.
-    pub fn recycle(&mut self, graph: DepGraph) {
-        graph.recycle_into(&mut self.adjacency);
-    }
-}
-
 /// Build the `factor`-times-replicated body of `graph` (nodes, edges, invocations —
 /// everything except the iteration count, which the two public entry points model
-/// differently), drawing backing storage from `scratch`.
-fn unrolled_body(graph: &DepGraph, factor: u32, scratch: &mut UnrollScratch) -> DepGraph {
+/// differently).
+fn unrolled_body(graph: &DepGraph, factor: u32) -> DepGraph {
     let mut out = DepGraph::new(format!("{}x{}", graph.name, factor));
     out.invocations = graph.invocations;
-    let n = graph.n_nodes();
-    out.arena_prepare(
-        n * factor as usize,
-        graph.n_edges() * factor as usize,
-        &mut scratch.adjacency,
-    );
 
     // Flat copy indices compose across repeated unrolling: copying copy `c_prev` of a
     // graph that already holds `prev` copies per original as the `c`-th copy yields
     // flat copy `c * prev + c_prev` — iteration `c` of the new body is iterations
     // `[c·prev, (c+1)·prev)` of the root loop.
     let prev = graph.copies_per_original();
-    let ids = &mut scratch.ids;
-    for row in ids.iter_mut() {
-        row.clear();
-    }
-    while ids.len() < factor as usize {
-        ids.push(Vec::new());
-    }
-    for copy in 0..factor {
-        let row = &mut ids[copy as usize];
-        row.reserve(n);
-        for node in graph.nodes() {
-            row.push(out.add_copy_of(node, copy * prev + node.copy));
-        }
-    }
+    let ids: Vec<Vec<NodeId>> = (0..factor)
+        .map(|copy| {
+            graph
+                .nodes()
+                .map(|node| out.add_copy_of(node, copy * prev + node.copy))
+                .collect()
+        })
+        .collect();
 
     for copy in 0..factor {
         for e in graph.edges() {
@@ -138,7 +95,7 @@ pub fn unroll(graph: &DepGraph, factor: u32) -> DepGraph {
     if factor == 1 {
         return graph.clone();
     }
-    let mut out = unrolled_body(graph, factor, &mut UnrollScratch::new());
+    let mut out = unrolled_body(graph, factor);
     out.iterations = graph.iterations.div_ceil(factor as u64);
     out
 }
@@ -152,17 +109,6 @@ pub fn unroll(graph: &DepGraph, factor: u32) -> DepGraph {
 /// iteration count yields a kernel with zero iterations — callers should treat that
 /// as "do not unroll" (the whole trip count would run in the epilogue).
 pub fn unroll_exact(graph: &DepGraph, factor: u32) -> UnrolledLoop {
-    unroll_exact_with(&mut UnrollScratch::new(), graph, factor)
-}
-
-/// [`unroll_exact`] drawing backing storage from a reusable [`UnrollScratch`] — the
-/// entry point for factor sweeps that unroll the same loop many times.  The result
-/// is identical to [`unroll_exact`]'s; only the allocation traffic differs.
-pub fn unroll_exact_with(
-    scratch: &mut UnrollScratch,
-    graph: &DepGraph,
-    factor: u32,
-) -> UnrolledLoop {
     assert!(factor >= 1, "unroll factor must be at least 1");
     if factor == 1 {
         return UnrolledLoop {
@@ -170,7 +116,7 @@ pub fn unroll_exact_with(
             remainder_iterations: 0,
         };
     }
-    let mut kernel = unrolled_body(graph, factor, scratch);
+    let mut kernel = unrolled_body(graph, factor);
     kernel.iterations = graph.iterations / factor as u64;
     UnrolledLoop {
         kernel,
@@ -404,30 +350,6 @@ mod tests {
         assert!(!names
             .iter()
             .any(|n| n.contains("''") || n.matches('\'').count() > 1));
-    }
-
-    /// The arena must be invisible in the result: a factor sweep through one scratch
-    /// — with losing kernels recycled between factors, as `UnrollPolicy::Explore`
-    /// does — produces graphs `==` to freshly-allocated ones (and therefore
-    /// identical under serde: `succs`/`preds` lengths line up exactly).
-    #[test]
-    fn scratch_reuse_is_observationally_identical() {
-        let g = simple_loop();
-        let mut scratch = UnrollScratch::new();
-        for factor in [2u32, 4, 3, 8, 2, 5] {
-            let pooled = unroll_exact_with(&mut scratch, &g, factor);
-            let fresh = unroll_exact(&g, factor);
-            assert_eq!(pooled, fresh, "factor {factor}");
-            assert_eq!(
-                serde_json::to_string(&pooled.kernel).unwrap(),
-                serde_json::to_string(&fresh.kernel).unwrap(),
-                "factor {factor}"
-            );
-            scratch.recycle(pooled.kernel);
-        }
-        // Recycling also accepts graphs the scratch never built (the factor-1 base).
-        scratch.recycle(g.clone());
-        assert_eq!(unroll_exact_with(&mut scratch, &g, 4), unroll_exact(&g, 4));
     }
 
     #[test]

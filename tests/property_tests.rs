@@ -9,6 +9,7 @@ use clustered_vliw::core::{
 };
 use clustered_vliw::prelude::*;
 use clustered_vliw::sim::ScheduleValidator;
+use clustered_vliw::sms::ScheduleError;
 use proptest::prelude::*;
 use vliw_arch::OpClass;
 use vliw_ddg::{mii, rec_mii, unroll, DepGraph, DepKind};
@@ -387,6 +388,47 @@ proptest! {
         for (a, b) in composed.edges().zip(direct.edges()) {
             prop_assert_eq!((a.src, a.dst, a.latency, a.distance, a.kind),
                             (b.src, b.dst, b.latency, b.distance, b.kind));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Sharing one schedule memo across policies is invisible: every policy of one
+    // `schedule_with_policies` call gets, byte for byte under serde, the schedule a
+    // fresh one-policy call produces.  arb_loop's trip counts (8..208) include
+    // many that the factors 2..=8 do not divide, so remainders are covered.
+    #[test]
+    fn a_shared_schedule_memo_matches_one_policy_calls(graph in arb_loop()) {
+        prop_assume!(graph.validate().is_ok());
+        let policies: Vec<UnrollPolicy> = [UnrollPolicy::None]
+            .into_iter()
+            .chain((1..=8).map(UnrollPolicy::Fixed))
+            .chain([
+                UnrollPolicy::ByClusters,
+                UnrollPolicy::Selective,
+                UnrollPolicy::Explore { max_factor: 8 },
+            ])
+            .collect();
+        for machine in [MachineConfig::two_cluster(1, 1), MachineConfig::four_cluster(1, 1)] {
+            let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+            let shared = driver.schedule_with_policies(&graph, &policies);
+            prop_assert_eq!(shared.len(), policies.len());
+            for (&policy, shared) in policies.iter().zip(&shared) {
+                let single = driver.schedule_with_policy(&graph, policy);
+                let json = |r: &Result<ClusterSchedule, ScheduleError>| match r {
+                    Ok(cs) => serde_json::to_string(cs).unwrap(),
+                    Err(e) => format!("error: {e}"),
+                };
+                prop_assert_eq!(
+                    json(shared),
+                    json(&single),
+                    "{} on {}",
+                    policy,
+                    machine.name
+                );
+            }
         }
     }
 }
