@@ -13,8 +13,7 @@
 //! | `fig_unroll` | beyond the paper: IPC and code size across unroll factors `U ∈ 1..=8` |
 //! | `fig_optgap` | beyond the paper: certified optimality gaps of every policy on the Table-1 machines |
 //!
-//! plus the Criterion micro-benchmarks (`cargo bench -p vliw-bench`) measuring
-//! scheduler throughput.
+//! plus the `perf` timing harness, which writes `BENCH_perf.json`.
 //!
 //! The library is layered:
 //!
@@ -202,24 +201,6 @@ pub fn run_corpus(
     results.pop().expect("one corpus result per policy")
 }
 
-/// [`run_corpus`], with every produced schedule differentially audited by
-/// [`vliw_sim::check_schedule`] — static validation, cycle-level replay and the
-/// closed-form cycle cross-checks.  Panics with a full description on the first
-/// failing loop — including a loop the scheduler cannot schedule at all, which a
-/// plain run only counts in `failed_loops` — so an execution-validated pipeline is
-/// a hard guarantee, not a best-effort log line.  The audit runs inside the parallel map and replays a
-/// bounded iteration count per loop, so a validated sweep costs only a modest
-/// constant factor over a plain one.
-pub fn run_corpus_verified(
-    corpus: &LoopCorpus,
-    machine: &MachineConfig,
-    algorithm: Algorithm,
-    policy: UnrollPolicy,
-) -> CorpusResult {
-    let mut results = CorpusRun::new(machine, algorithm, vec![policy], true, false).run(corpus);
-    results.pop().expect("one corpus result per policy")
-}
-
 /// One loop's accounting under one policy: its IPC contribution, code size, whether
 /// it was unrolled and the engine diagnostics (`None` when it failed to schedule).
 type PerLoop = Option<(LoopContribution, CodeSizeReport, bool, ScheduleDiagnostics)>;
@@ -227,7 +208,7 @@ type PerLoop = Option<(LoopContribution, CodeSizeReport, bool, ScheduleDiagnosti
 /// One corpus run's settings: the machine, algorithm and policies every loop is
 /// scheduled with, and the audits every schedule goes through.  `verify` replays
 /// every schedule through `vliw_sim`'s differential oracle
-/// ([`run_corpus_verified`]); `lint` certifies every schedule with `vliw_lint`'s
+/// ([`vliw_sim::check_schedule`]); `lint` certifies every schedule with `vliw_lint`'s
 /// static certifier and panics on the first deny-level diagnostic.  Both audits
 /// only observe, so the corpus results are identical in every mode;
 /// [`sweep::Sweep`] routes its `VERIFY_CELLS` / `LINT_CELLS` opt-ins through here.
@@ -490,7 +471,7 @@ pub fn lint_from_env() -> bool {
 }
 
 /// The standard corpus used by all experiment binaries, optionally shrunk by the
-/// `FAST_EXPERIMENTS` environment variable (useful in CI and in the Criterion benches).
+/// `FAST_EXPERIMENTS` environment variable (useful in CI).
 pub fn standard_corpora() -> Vec<LoopCorpus> {
     let mut corpora = LoopCorpus::all();
     if std::env::var("FAST_EXPERIMENTS").is_ok() {

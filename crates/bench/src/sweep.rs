@@ -116,11 +116,6 @@ impl Sweep {
         self
     }
 
-    /// Whether execution validation is enabled.
-    pub fn is_verified(&self) -> bool {
-        self.verify
-    }
-
     /// Opt this sweep into **static certification** — the static mirror of
     /// [`Sweep::verify_cells`]: every schedule of every `(job, corpus)` pair is
     /// checked by `vliw_lint`'s deny-level certifier (dependences, resource
@@ -132,11 +127,6 @@ impl Sweep {
     pub fn lint_cells(&mut self, on: bool) -> &mut Self {
         self.lint = on;
         self
-    }
-
-    /// Whether static certification is enabled.
-    pub fn is_linted(&self) -> bool {
-        self.lint
     }
 
     /// Declare a cell with no baseline.
@@ -478,7 +468,6 @@ mod tests {
         let id = declare(&mut plain);
         let mut verified = Sweep::new();
         verified.verify_cells(true);
-        assert!(verified.is_verified());
         let vid = declare(&mut verified);
         // The audit only observes: a verified run must neither change a number nor
         // panic on schedules the engine actually produces.
@@ -505,7 +494,6 @@ mod tests {
         let id = declare(&mut plain);
         let mut linted = Sweep::new();
         linted.lint_cells(true);
-        assert!(linted.is_linted());
         let lid = declare(&mut linted);
         // The static certifier only observes: a linted run must neither change a
         // number nor panic on schedules the engine actually produces.

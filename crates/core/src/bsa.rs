@@ -31,18 +31,15 @@ use vliw_sms::{
 };
 
 /// The paper's cluster-oriented modulo scheduler.
+///
+/// Per-cluster register pressure (`MaxLive`) is checked when choosing clusters,
+/// matching the paper (no spill code is generated).
 #[derive(Debug, Clone)]
 pub struct BsaScheduler {
     machine: MachineConfig,
-    /// Check per-cluster register pressure (`MaxLive`) when choosing clusters.  On by
-    /// default, matching the paper (no spill code is generated).
-    pub check_registers: bool,
     /// Optional fuel budget for the II search.  `None` (the default) preserves the
     /// unbudgeted search exactly, so all committed figure artifacts are unaffected.
     fuel: Option<FuelBudget>,
-    /// Use the engine's incremental register-pressure tracker (on by default; the
-    /// results are guaranteed identical either way — see the engine docs).
-    incremental: bool,
 }
 
 impl BsaScheduler {
@@ -50,9 +47,7 @@ impl BsaScheduler {
     pub fn new(machine: &MachineConfig) -> Self {
         Self {
             machine: machine.clone(),
-            check_registers: true,
             fuel: None,
-            incremental: true,
         }
     }
 
@@ -62,14 +57,6 @@ impl BsaScheduler {
     #[must_use]
     pub fn with_fuel(mut self, budget: FuelBudget) -> Self {
         self.fuel = Some(budget);
-        self
-    }
-
-    /// Toggle the engine's incremental register-pressure tracking (used by the
-    /// equivalence property tests; results are identical either way).
-    #[must_use]
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
         self
     }
 
@@ -87,9 +74,7 @@ impl BsaScheduler {
     /// Like [`BsaScheduler::schedule`], but also return the engine's
     /// [`vliw_sms::ScheduleDiagnostics`].
     pub fn schedule_diag(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        let mut driver = IiSearchDriver::new(&self.machine)
-            .check_registers(self.check_registers)
-            .incremental(self.incremental);
+        let mut driver = IiSearchDriver::new(&self.machine);
         if let Some(fuel) = self.fuel {
             driver = driver.with_fuel(fuel);
         }
@@ -331,7 +316,7 @@ mod tests {
     use super::*;
     use vliw_arch::{BusConfig, ClusterConfig, LatencyModel, OpClass};
     use vliw_ddg::{DepKind, GraphBuilder};
-    use vliw_sms::SmsScheduler;
+    use vliw_sms::{LimitingResource, SmsScheduler};
 
     fn saxpy() -> DepGraph {
         GraphBuilder::new("saxpy")
@@ -658,15 +643,36 @@ mod tests {
     }
 
     #[test]
-    fn register_pressure_check_can_be_disabled() {
-        let machine = MachineConfig::four_cluster(1, 1);
+    fn register_pressure_check_raises_ii_only_when_registers_bind() {
         let g = wide_loop();
-        let mut relaxed = BsaScheduler::new(&machine);
-        relaxed.check_registers = false;
-        let strict = BsaScheduler::new(&machine);
-        let r = relaxed.schedule(&g).unwrap();
-        let s = strict.schedule(&g).unwrap();
-        assert!(s.ii() >= r.ii());
+        let default = MachineConfig::four_cluster(1, 1);
+        let with_registers = |registers: usize| {
+            let mut machine = default.clone();
+            machine.cluster.registers = registers;
+            BsaScheduler::new(&machine).schedule_diag(&g).unwrap()
+        };
+        // A register file no schedule can overflow.
+        let roomy = with_registers(10_000);
+        let fits = |out: &ScheduledLoop, registers: usize| {
+            out.diagnostics
+                .max_live_per_cluster
+                .iter()
+                .all(|&live| live as usize <= registers)
+        };
+        // The paper's register file never binds on this loop.
+        let paper = with_registers(default.cluster.registers);
+        assert_eq!(paper.schedule.ii(), roomy.schedule.ii());
+        // Four registers bind: the roomy schedule would overflow them, and the check
+        // finds a placement that fits at the same II.
+        assert!(!fits(&roomy, 4));
+        let four = with_registers(4);
+        assert!(fits(&four, 4));
+        assert_eq!(four.schedule.ii(), roomy.schedule.ii());
+        // Two registers fit no placement at that II: the search raises it.
+        let two = with_registers(2);
+        assert!(fits(&two, 2));
+        assert!(two.schedule.ii() > roomy.schedule.ii());
+        assert_eq!(two.diagnostics.limiting, LimitingResource::Registers);
     }
 
     #[test]

@@ -56,7 +56,6 @@
 
 pub mod ablation;
 pub mod bsa;
-pub mod comm;
 pub mod ne;
 pub mod resilient;
 pub mod result;
@@ -64,7 +63,6 @@ pub mod unroll_policy;
 
 pub use ablation::{load_balanced_assignment, LoadBalancedScheduler, RoundRobinScheduler};
 pub use bsa::BsaScheduler;
-pub use comm::{allocate_comms, required_comms, CommAllocation, CommRequest};
 pub use ne::NeScheduler;
 pub use resilient::{
     LadderFailure, ResilientOutcome, ResilientScheduler, RungError, RungFailure, FALLBACK_RUNGS,

@@ -5,9 +5,9 @@
 //! upward from `MII = max(ResMII, RecMII)` and, at each II, runs a depth-first
 //! search over per-node `(cluster, cycle, functional unit)` placements against
 //! the exact same feasibility primitives the production engine uses — the
-//! [`vliw_sms::ModuloReservationTable`], the bus allocator
-//! ([`vliw_sms::allocate_comms`] over [`vliw_sms::required_comms`]), the
-//! dependence windows ([`vliw_sms::early_start`] / [`vliw_sms::late_start`]) and
+//! [`vliw_sms::ModuloReservationTable`], the communication requirements
+//! ([`vliw_sms::required_comms`]), the dependence windows
+//! ([`vliw_sms::early_start`] / [`vliw_sms::late_start`]) and
 //! the register-pressure check ([`vliw_sms::LifetimeMap::fits`]) — so the solver
 //! and the engine can never disagree about what a feasible placement is.
 //!
@@ -31,9 +31,9 @@
 //!   component shifts by multiples of II).  Violating placements set the caveat.
 //! * **Register rejections.** Shifting a placement changes value lifetimes, so
 //!   any trial rejected by the register files marks the search incomplete.
-//! * **Bus rows.** Unlike the production engine's greedy
-//!   [`vliw_sms::allocate_comms`], the solver branches over *every* start
-//!   cycle in each transfer's window (with cross-request and cross-placement
+//! * **Bus rows.** Unlike the production engine's greedy bus allocator, which
+//!   takes the first free start per transfer, the solver branches over *every*
+//!   start cycle in each transfer's window (with cross-request and cross-placement
 //!   backtracking), so bus allocation is exact on the common configurations:
 //!   single-cycle transfers occupy one MRT column (any free row is as good as
 //!   any other) and a single bus offers no row choice.  Only multi-cycle
@@ -62,11 +62,12 @@
 //!   exposes a solver soundness bug, which is exactly why the sixth oracle
 //!   treats it as a hard violation.
 //!
-//! The search is metered through the PR-7 [`FuelBudget`] machinery: every probed
-//! cycle spends a probe, every node expansion an attempt, every II step an II
-//! step.  Fuel exhaustion aborts the search and downgrades the verdict to the
-//! lower bound proven so far — never to an unsound claim — so certificates are
-//! deterministic for a given budget regardless of wall clock.
+//! The search is metered through the engine's [`FuelBudget`] machinery: every
+//! probed cycle spends a probe, and node expansions and II steps are counted as
+//! attempts and II steps.  Exhausting the probe budget aborts the search and
+//! downgrades the verdict to the lower bound proven so far — never to an unsound
+//! claim — so certificates are deterministic for a given budget regardless of
+//! wall clock.
 
 use crate::certify::Certifier;
 use serde::{Deserialize, Serialize};
@@ -524,9 +525,9 @@ impl<'a> Dfs<'a> {
     /// `node` at `(cluster, cycle, fu)`, then commit the placement and expand
     /// the next node.  Every start cycle in a request's window is a branch
     /// point, so exhausting the assignments (in concert with the placement
-    /// backtracking above) is exact — unlike the production engine's
-    /// [`vliw_sms::allocate_comms`], which greedily takes the first free start
-    /// per transfer and cannot revisit the choice.
+    /// backtracking above) is exact — unlike the production engine's bus
+    /// allocator, which greedily takes the first free start per transfer and
+    /// cannot revisit the choice.
     ///
     /// Two reductions keep this exact without branching:
     ///

@@ -27,7 +27,7 @@
 //! policies built on this engine.
 
 use crate::comm::{allocate_uncovered_comms, CommAllocation, ProbeComms};
-use crate::fuel::{FuelBudget, FuelMeter, FuelSpent, FuelStop};
+use crate::fuel::{FuelBudget, FuelMeter, FuelSpent};
 use crate::lifetime::LifetimeMap;
 use crate::max_ii;
 use crate::mrt::ModuloReservationTable;
@@ -67,7 +67,7 @@ pub struct Trial {
     /// The bus transfers this placement needs (already proven allocatable).
     pub comms: Vec<CommPlacement>,
     /// Register pressure of the candidate cluster after the placement (0 when the
-    /// register check is disabled or deferred).
+    /// register check is deferred to the whole schedule).
     pub max_live: u32,
 }
 
@@ -117,9 +117,7 @@ pub struct EngineView<'a> {
     tracker: &'a mut PressureTracker,
     comm_scratch: &'a mut ProbeComms,
     ii: u32,
-    check_registers: bool,
     per_placement_registers: bool,
-    incremental: bool,
     bus_failed: bool,
     register_failed: bool,
 }
@@ -197,7 +195,7 @@ impl<'a> EngineView<'a> {
         comm_probe.collect(self.graph, self.sched, node, cluster);
         // Likewise the register-pressure affected set is fixed for the whole
         // probe — collect it once instead of once per scanned cycle.
-        if self.check_registers && self.per_placement_registers && self.incremental {
+        if self.per_placement_registers {
             self.tracker.prepare_probe(self.graph, self.sched, node);
         }
         let out = self.probe_with(node, cluster, &mut comm_probe);
@@ -266,7 +264,7 @@ impl<'a> EngineView<'a> {
                 CommAllocation::Satisfied(comms) => {
                     // Register-pressure check on the schedule itself: apply the
                     // trial, measure lifetimes, roll back to the checkpoint.
-                    let (fits, max_live) = if self.check_registers && self.per_placement_registers {
+                    let (fits, max_live) = if self.per_placement_registers {
                         let cp = self.sched.checkpoint();
                         for c in &comms {
                             self.sched.add_comm(*c);
@@ -277,25 +275,19 @@ impl<'a> EngineView<'a> {
                             cluster,
                             fu,
                         });
-                        let (fits, max_live) = if self.incremental {
-                            let got = self.tracker.evaluate(self.graph, self.sched, node, cluster);
-                            #[cfg(debug_assertions)]
-                            {
-                                let lt = LifetimeMap::new(self.graph, self.sched, machine);
-                                debug_assert_eq!(
-                                    got,
-                                    (lt.fits(machine), lt.max_live_in(cluster)),
-                                    "incremental pressure diverged from LifetimeMap \
-                                     placing {node} on cluster {cluster} at cycle {cycle}"
-                                );
-                            }
-                            got
-                        } else {
+                        let got = self.tracker.evaluate(self.graph, self.sched, node, cluster);
+                        #[cfg(debug_assertions)]
+                        {
                             let lt = LifetimeMap::new(self.graph, self.sched, machine);
-                            (lt.fits(machine), lt.max_live_in(cluster))
-                        };
+                            debug_assert_eq!(
+                                got,
+                                (lt.fits(machine), lt.max_live_in(cluster)),
+                                "incremental pressure diverged from LifetimeMap \
+                                 placing {node} on cluster {cluster} at cycle {cycle}"
+                            );
+                        }
                         self.sched.rollback(cp);
-                        (fits, max_live)
+                        got
                     } else {
                         (true, 0)
                     };
@@ -655,18 +647,16 @@ struct EngineScratch {
 /// incremental [`PressureTracker`] instead of rebuilding every lifetime per probe.
 /// **Equivalence guarantee:** all of this is a pure optimization — schedules,
 /// [`ScheduleDiagnostics`] (including the II trajectory) and fuel receipts are
-/// byte-identical to the from-scratch search, which [`IiSearchDriver::incremental`]
-/// can re-enable for A/B comparison (property-tested across all five policies on
-/// random machines in `crates/verify/tests/incremental_equiv.rs`;
-/// debug builds additionally cross-check every incremental pressure answer against
-/// a fresh [`LifetimeMap`]).
+/// byte-identical to a from-scratch search: debug builds cross-check every
+/// incremental pressure answer against a fresh [`LifetimeMap`], and
+/// `crates/verify/tests/incremental_equiv.rs` replays the schedules of all five
+/// policies on random machines through a fresh [`PressureTracker`] and compares
+/// every answer with [`LifetimeMap`] in any build.
 #[derive(Debug, Clone)]
 pub struct IiSearchDriver<'m> {
     machine: &'m MachineConfig,
-    check_registers: bool,
     register_mode: RegisterCheckMode,
     fuel: Option<FuelBudget>,
-    incremental: bool,
 }
 
 impl<'m> IiSearchDriver<'m> {
@@ -675,25 +665,9 @@ impl<'m> IiSearchDriver<'m> {
     pub fn new(machine: &'m MachineConfig) -> Self {
         Self {
             machine,
-            check_registers: true,
             register_mode: RegisterCheckMode::PerPlacement,
             fuel: None,
-            incremental: true,
         }
-    }
-
-    /// Enable or disable register checking entirely.
-    pub fn check_registers(mut self, on: bool) -> Self {
-        self.check_registers = on;
-        self
-    }
-
-    /// Toggle the incremental register-pressure fast path (default on).  `false`
-    /// rebuilds a [`LifetimeMap`] per probed placement instead — same answers,
-    /// slower; kept as the reference implementation for equivalence tests.
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
     }
 
     /// Choose when the register check runs (see [`RegisterCheckMode`]).
@@ -845,7 +819,7 @@ impl<'m> IiSearchDriver<'m> {
                         // A probe budget that ran out mid-attempt made the failure
                         // above inevitable: stop the search here instead of letting
                         // every remaining II fail on refused probes.
-                        if meter.stopped().is_some() {
+                        if meter.exhausted() {
                             return Err(Self::fuel_error(&meter, mii, ii));
                         }
                         if pass == 0 {
@@ -863,15 +837,12 @@ impl<'m> IiSearchDriver<'m> {
         })
     }
 
-    /// The error for a stopped fuel meter (budget or deadline).
+    /// The error for an exhausted fuel meter.
     fn fuel_error(meter: &FuelMeter, mii: u32, at_ii: u32) -> ScheduleError {
-        match meter.stopped() {
-            Some(FuelStop::DeadlineExpired) => ScheduleError::DeadlineExpired { at_ii },
-            _ => ScheduleError::BudgetExhausted {
-                mii,
-                at_ii,
-                spent: meter.spent(),
-            },
+        ScheduleError::BudgetExhausted {
+            mii,
+            at_ii,
+            spent: meter.spent(),
         }
     }
 
@@ -937,8 +908,7 @@ impl<'m> IiSearchDriver<'m> {
         scratch.mrt.reset(ii);
         scratch.assignment.fill(None);
         let per_placement = matches!(self.register_mode, RegisterCheckMode::PerPlacement);
-        let incremental_regs = self.incremental && self.check_registers && per_placement;
-        if incremental_regs {
+        if per_placement {
             scratch.tracker.reset(self.machine, graph.n_nodes(), ii);
         }
         let EngineScratch {
@@ -963,9 +933,7 @@ impl<'m> IiSearchDriver<'m> {
                 tracker,
                 comm_scratch,
                 ii,
-                check_registers: self.check_registers,
                 per_placement_registers: per_placement,
-                incremental: self.incremental,
                 bus_failed: false,
                 register_failed: false,
             };
@@ -990,7 +958,7 @@ impl<'m> IiSearchDriver<'m> {
                         fu: trial.fu,
                     });
                     assignment[node.index()] = Some(trial.cluster);
-                    if incremental_regs {
+                    if per_placement {
                         tracker.commit(graph, &sched, node);
                     }
                 }
@@ -1003,7 +971,7 @@ impl<'m> IiSearchDriver<'m> {
             }
         }
 
-        if self.check_registers && matches!(self.register_mode, RegisterCheckMode::WholeSchedule) {
+        if !per_placement {
             let lifetimes = LifetimeMap::new(graph, &sched, self.machine);
             if lifetimes.max_live_in(0) as usize > self.machine.cluster.registers {
                 return Err(AttemptError::Failed(AttemptFailure {
@@ -1323,25 +1291,20 @@ mod tests {
             BusConfig::none(),
             LatencyModel::table1(),
         );
+        // The same machine with a register file no schedule can overflow.
+        let mut roomy = tiny.clone();
+        roomy.cluster.registers = 10_000;
         let g = saxpy();
-        let relaxed = IiSearchDriver::new(&tiny)
-            .check_registers(false)
-            .register_mode(RegisterCheckMode::WholeSchedule)
-            .schedule(&g, &mut FixedAssignmentPolicy::new("u", vec![0; 5]))
-            .unwrap();
-        match IiSearchDriver::new(&tiny)
-            .register_mode(RegisterCheckMode::WholeSchedule)
-            .schedule(&g, &mut FixedAssignmentPolicy::new("u", vec![0; 5]))
-        {
-            Ok(strict) => {
-                assert!(strict.schedule.ii() >= relaxed.schedule.ii());
-                if strict.schedule.ii() > strict.diagnostics.mii {
-                    assert_eq!(strict.diagnostics.limiting, LimitingResource::Registers);
-                }
-            }
-            Err(ScheduleError::MaxIiExceeded { .. }) => {} // also acceptable: never fits
-            Err(e) => panic!("unexpected error {e}"),
-        }
+        let run = |machine: &MachineConfig| {
+            IiSearchDriver::new(machine)
+                .register_mode(RegisterCheckMode::WholeSchedule)
+                .schedule(&g, &mut FixedAssignmentPolicy::new("u", vec![0; 5]))
+                .unwrap()
+        };
+        let (strict, roomy) = (run(&tiny), run(&roomy));
+        assert!(strict.schedule.ii() > roomy.schedule.ii());
+        assert_eq!(strict.diagnostics.limiting, LimitingResource::Registers);
+        assert!(strict.diagnostics.max_live_per_cluster[0] <= 2);
     }
 
     #[test]
@@ -1462,7 +1425,7 @@ mod tests {
             .schedule(&g, &mut policy.clone())
             .unwrap();
         let out = IiSearchDriver::new(&machine)
-            .with_fuel(FuelBudget::unlimited().with_probes(1_000_000))
+            .with_fuel(FuelBudget::probes(1_000_000))
             .schedule(&g, &mut policy)
             .unwrap();
         let fuel = out.diagnostics.fuel.expect("budgeted run records fuel");
@@ -1499,39 +1462,6 @@ mod tests {
         }
         // Same budget, same graph, same machine: byte-identical failure.
         assert_eq!(err, run());
-    }
-
-    #[test]
-    fn exhausted_ii_step_budget_stops_the_search() {
-        // Fig7 needs several IIs; one II step is not enough.
-        let (machine, g) = fig7();
-        let err = IiSearchDriver::new(&machine)
-            .with_fuel(FuelBudget::unlimited().with_ii_steps(1))
-            .schedule(
-                &g,
-                &mut FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, ScheduleError::BudgetExhausted { .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn expired_deadline_reports_deadline_error() {
-        let (machine, g) = fig7();
-        let err = IiSearchDriver::new(&machine)
-            .with_fuel(FuelBudget::unlimited().with_deadline(std::time::Duration::ZERO))
-            .schedule(
-                &g,
-                &mut FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, ScheduleError::DeadlineExpired { .. }),
-            "{err}"
-        );
     }
 
     #[test]

@@ -1,113 +1,47 @@
 //! Deterministic fuel budgets for the II search.
 //!
-//! A [`FuelBudget`] bounds the *counted work* of one [`crate::IiSearchDriver`] run —
-//! placement probes, ordering attempts and II steps — so a pathological loop cannot
-//! burn unbounded time inside a sweep or a scheduling service.  Because the units are
-//! counters of deterministic engine events (never wall clock), a budgeted run spends
-//! exactly the same fuel on every machine, at every thread count, on every repeat:
-//! budgeted results are bit-reproducible.  An *optional* wall-clock [`Deadline`] can
-//! be layered on top for service deployments that need a hard latency bound and are
-//! willing to give up reproducibility when it fires.
+//! A [`FuelBudget`] bounds the number of placement probes of one
+//! [`crate::IiSearchDriver`] run, so a pathological loop cannot burn unbounded time
+//! inside a sweep.  Probes dominate engine work, so a probe limit caps total effort
+//! roughly uniformly across loop shapes.  Because the unit is a counter of
+//! deterministic engine events (never wall clock), a budgeted run spends exactly the
+//! same fuel on every machine, at every thread count, on every repeat: budgeted
+//! results are bit-reproducible.
 //!
-//! The driver threads a [`FuelMeter`] through the search; when a dimension of the
-//! budget runs out the search stops with
-//! [`crate::ScheduleError::BudgetExhausted`] carrying the exact [`FuelSpent`]
-//! counters, which also surface in
-//! [`crate::ScheduleDiagnostics::fuel`] on success.
+//! The driver threads a [`FuelMeter`] through the search; when the probes run out
+//! the search stops with [`crate::ScheduleError::BudgetExhausted`] carrying the exact
+//! [`FuelSpent`] counters, which also surface in
+//! [`crate::ScheduleDiagnostics::fuel`] on success.  The meter also counts attempts
+//! and II steps (receipts report them); it limits them only in that it refuses
+//! everything once the probes are exhausted.
 
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
 
-/// A wall-clock deadline (service use only — *not* deterministic).
-///
-/// Checked once per II step, the coarsest metering point, so the common fast path
-/// never reads the clock more than a handful of times per loop.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    at: Instant,
-}
-
-impl Deadline {
-    /// A deadline `timeout` from now.
-    pub fn after(timeout: Duration) -> Self {
-        Self {
-            at: Instant::now() + timeout,
-        }
-    }
-
-    /// Whether the deadline has passed.
-    pub fn expired(&self) -> bool {
-        Instant::now() >= self.at
-    }
-}
-
-/// Limits on the counted work of one scheduling run.  `None` in every dimension
-/// means unlimited (the default).
+/// A limit on the placement probes of one scheduling run.  `None` means unlimited
+/// (the default).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FuelBudget {
     /// Maximum number of placement probes ([`crate::EngineView::probe`] /
     /// [`crate::EngineView::probe_unified`] calls) across the whole search.
     pub max_probes: Option<u64>,
-    /// Maximum number of scheduling attempts (orderings tried, across all IIs).
-    pub max_attempts: Option<u64>,
-    /// Maximum number of candidate IIs explored.
-    pub max_ii_steps: Option<u64>,
-    /// Optional wall-clock deadline (see [`Deadline`] for the determinism caveat).
-    pub deadline: Option<Deadline>,
 }
 
 impl FuelBudget {
-    /// The unlimited budget (every dimension `None`).
+    /// The unlimited budget.
     pub fn unlimited() -> Self {
         Self::default()
     }
 
-    /// A probe-bounded budget — the finest-grained and most useful single knob:
-    /// probes dominate engine work, so this caps total effort roughly uniformly
-    /// across loop shapes.
+    /// A budget of `n` placement probes.
     pub fn probes(n: u64) -> Self {
         Self {
             max_probes: Some(n),
-            ..Self::default()
         }
-    }
-
-    /// Set the probe limit.
-    pub fn with_probes(mut self, n: u64) -> Self {
-        self.max_probes = Some(n);
-        self
-    }
-
-    /// Set the attempt (orderings-tried) limit.
-    pub fn with_attempts(mut self, n: u64) -> Self {
-        self.max_attempts = Some(n);
-        self
-    }
-
-    /// Set the II-step limit.
-    pub fn with_ii_steps(mut self, n: u64) -> Self {
-        self.max_ii_steps = Some(n);
-        self
-    }
-
-    /// Attach a wall-clock deadline `timeout` from now.
-    pub fn with_deadline(mut self, timeout: Duration) -> Self {
-        self.deadline = Some(Deadline::after(timeout));
-        self
-    }
-
-    /// Whether no dimension is limited.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_probes.is_none()
-            && self.max_attempts.is_none()
-            && self.max_ii_steps.is_none()
-            && self.deadline.is_none()
     }
 }
 
-/// The fuel actually consumed by a scheduling run, in the same units as
-/// [`FuelBudget`].  Deterministic: identical inputs and budget produce identical
-/// counters.
+/// The fuel actually consumed by a scheduling run.  Deterministic: identical inputs
+/// and budget produce identical counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FuelSpent {
     /// Placement probes evaluated.
@@ -132,22 +66,13 @@ impl FuelSpent {
     }
 }
 
-/// Why a meter stopped granting fuel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FuelStop {
-    /// A counted dimension of the budget ran out.
-    Exhausted,
-    /// The wall-clock deadline expired.
-    DeadlineExpired,
-}
-
-/// The running meter the driver threads through one search: counts events against a
-/// [`FuelBudget`] and remembers the first dimension that ran out.
+/// The running meter the driver threads through one search: counts events and
+/// refuses probes once the [`FuelBudget`] is spent.
 #[derive(Debug, Clone)]
 pub struct FuelMeter {
     budget: FuelBudget,
     spent: FuelSpent,
-    stop: Option<FuelStop>,
+    exhausted: bool,
 }
 
 impl FuelMeter {
@@ -156,66 +81,45 @@ impl FuelMeter {
         Self {
             budget,
             spent: FuelSpent::default(),
-            stop: None,
+            exhausted: false,
         }
     }
 
     /// Charge one placement probe; `false` once the probe budget is exhausted.
     #[inline]
     pub fn spend_probe(&mut self) -> bool {
-        if self.stop.is_some() {
+        if self.exhausted {
             return false;
         }
-        if let Some(max) = self.budget.max_probes {
-            if self.spent.probes >= max {
-                self.stop = Some(FuelStop::Exhausted);
-                return false;
-            }
+        if matches!(self.budget.max_probes, Some(max) if self.spent.probes >= max) {
+            self.exhausted = true;
+            return false;
         }
         self.spent.probes += 1;
         true
     }
 
-    /// Charge one scheduling attempt; `false` once the attempt budget is exhausted.
+    /// Charge one scheduling attempt; `false` once the budget is exhausted.
     pub fn spend_attempt(&mut self) -> bool {
-        if self.stop.is_some() {
+        if self.exhausted {
             return false;
-        }
-        if let Some(max) = self.budget.max_attempts {
-            if self.spent.attempts >= max {
-                self.stop = Some(FuelStop::Exhausted);
-                return false;
-            }
         }
         self.spent.attempts += 1;
         true
     }
 
-    /// Charge one II step (also the deadline checkpoint); `false` once the II budget
-    /// is exhausted or the deadline has expired.
+    /// Charge one II step; `false` once the budget is exhausted.
     pub fn spend_ii_step(&mut self) -> bool {
-        if self.stop.is_some() {
+        if self.exhausted {
             return false;
-        }
-        if let Some(deadline) = self.budget.deadline {
-            if deadline.expired() {
-                self.stop = Some(FuelStop::DeadlineExpired);
-                return false;
-            }
-        }
-        if let Some(max) = self.budget.max_ii_steps {
-            if self.spent.ii_steps >= max {
-                self.stop = Some(FuelStop::Exhausted);
-                return false;
-            }
         }
         self.spent.ii_steps += 1;
         true
     }
 
-    /// The first refusal cause, if any dimension has run out.
-    pub fn stopped(&self) -> Option<FuelStop> {
-        self.stop
+    /// Whether a probe has been refused because the budget ran out.
+    pub fn exhausted(&self) -> bool {
+        self.exhausted
     }
 
     /// The counters so far.
@@ -236,7 +140,7 @@ mod tests {
         }
         assert!(m.spend_attempt());
         assert!(m.spend_ii_step());
-        assert_eq!(m.stopped(), None);
+        assert!(!m.exhausted());
         assert_eq!(m.spent().probes, 10_000);
         assert_eq!(m.spent().total(), 10_002);
     }
@@ -248,28 +152,12 @@ mod tests {
         assert!(m.spend_probe());
         assert!(m.spend_probe());
         assert!(!m.spend_probe());
-        assert_eq!(m.stopped(), Some(FuelStop::Exhausted));
+        assert!(m.exhausted());
         assert_eq!(m.spent().probes, 3);
-        // Once stopped, every dimension refuses.
+        // Once exhausted, every dimension refuses.
         assert!(!m.spend_attempt());
         assert!(!m.spend_ii_step());
         assert_eq!(m.spent().attempts, 0);
-    }
-
-    #[test]
-    fn attempt_and_ii_budgets_meter_independently() {
-        let mut m = FuelMeter::new(FuelBudget::unlimited().with_attempts(1).with_ii_steps(2));
-        assert!(m.spend_ii_step());
-        assert!(m.spend_attempt());
-        assert!(!m.spend_attempt());
-        assert_eq!(m.stopped(), Some(FuelStop::Exhausted));
-    }
-
-    #[test]
-    fn expired_deadline_reports_deadline_stop() {
-        let mut m = FuelMeter::new(FuelBudget::unlimited().with_deadline(Duration::ZERO));
-        assert!(!m.spend_ii_step());
-        assert_eq!(m.stopped(), Some(FuelStop::DeadlineExpired));
     }
 
     #[test]
@@ -293,11 +181,7 @@ mod tests {
 
     #[test]
     fn budget_constructors_compose() {
-        let b = FuelBudget::probes(10).with_attempts(4);
-        assert_eq!(b.max_probes, Some(10));
-        assert_eq!(b.max_attempts, Some(4));
-        assert!(b.max_ii_steps.is_none());
-        assert!(!b.is_unlimited());
-        assert!(FuelBudget::unlimited().is_unlimited());
+        assert_eq!(FuelBudget::probes(10).max_probes, Some(10));
+        assert_eq!(FuelBudget::unlimited().max_probes, None);
     }
 }

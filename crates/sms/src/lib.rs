@@ -42,13 +42,13 @@ pub mod schedule;
 pub mod slots;
 pub mod unified;
 
-pub use comm::{allocate_comms, required_comms, CommAllocation, CommRequest};
+pub use comm::{required_comms, CommAllocation, CommRequest};
 pub use containment::{contain, contain_schedule};
 pub use engine::{
     ClusterPolicy, EngineView, FixedAssignmentPolicy, IiSearchDriver, IiStep, LimitingResource,
     Probe, RegisterCheckMode, ScheduleDiagnostics, ScheduledLoop, Trial,
 };
-pub use fuel::{Deadline, FuelBudget, FuelMeter, FuelSpent, FuelStop};
+pub use fuel::{FuelBudget, FuelMeter, FuelSpent};
 pub use lifetime::{cluster_max_live, LifetimeMap};
 pub use mrt::{ModuloReservationTable, Reservation};
 pub use ordering::{sms_order, OrderingContext};

@@ -40,18 +40,6 @@ pub struct LiveRange {
     pub end: i64,
 }
 
-impl LiveRange {
-    /// Length of the range in cycles (at least 1).
-    pub fn len(&self) -> u64 {
-        (self.end - self.start).max(1) as u64
-    }
-
-    /// Whether the range is degenerate (clamped to the 1-cycle minimum).
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-}
-
 /// All live ranges of a schedule, plus the per-cluster pressure they imply.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LifetimeMap {
@@ -232,11 +220,6 @@ impl LifetimeMap {
             .iter()
             .all(|&live| live as usize <= machine.cluster.registers)
     }
-
-    /// Sum of all lifetime lengths (the quantity Swing Modulo Scheduling minimises).
-    pub fn total_lifetime(&self) -> u64 {
-        self.ranges.iter().map(LiveRange::len).sum()
-    }
 }
 
 /// Convenience: the per-cluster `MaxLive` of a schedule.
@@ -307,7 +290,7 @@ mod tests {
         let lt = LifetimeMap::new(&g, &s, &machine);
         // lifetime 0..9 = 9 cycles, II=4 -> 2 full wraps + 1 extra row
         assert_eq!(lt.max_live_in(0), 3);
-        assert!(lt.ranges.iter().any(|r| r.len() == 9));
+        assert!(lt.ranges.iter().any(|r| r.end - r.start == 9));
     }
 
     #[test]
@@ -402,22 +385,6 @@ mod tests {
         let lt = LifetimeMap::new(&g, &s, &machine);
         assert!(lt.ranges.is_empty());
         assert_eq!(lt.max_live_in(0), 0);
-    }
-
-    #[test]
-    fn total_lifetime_sums_ranges() {
-        let machine = MachineConfig::unified();
-        let pool = ResourcePool::new(&machine);
-        let mut g = DepGraph::new("sum");
-        let a = g.add_node(OpClass::Load);
-        let b = g.add_node(OpClass::FpAdd);
-        g.add_edge(a, b, 2, 0, DepKind::Flow);
-        let mut s = ModuloSchedule::new("sum", 2, 4, 1);
-        place(&mut s, &pool, 0, 0, 0, FuKind::Mem);
-        place(&mut s, &pool, 1, 3, 0, FuKind::Fp);
-        let lt = LifetimeMap::new(&g, &s, &machine);
-        // a: 0..3 (3 cycles), b: unused -> 1 cycle
-        assert_eq!(lt.total_lifetime(), 4);
     }
 
     #[test]

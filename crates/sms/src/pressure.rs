@@ -22,8 +22,9 @@
 //! identically to a from-scratch [`crate::lifetime::LifetimeMap`].
 //!
 //! The tracker is a pure optimization: debug builds cross-check every answer
-//! against a freshly built `LifetimeMap`, and the engine's `incremental(false)`
-//! escape hatch swaps the full rebuild back in (property-tested byte-identical).
+//! against a freshly built `LifetimeMap`, and `crates/verify/tests/incremental_equiv.rs`
+//! replays every schedule of a random corpus through a fresh tracker and compares
+//! each answer with the map in any build.
 
 use crate::lifetime::{apply_range_rows, push_producer_ranges, LiveRange};
 use crate::schedule::ModuloSchedule;

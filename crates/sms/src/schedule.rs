@@ -38,12 +38,6 @@ pub enum ScheduleError {
         /// Fuel consumed up to the stop.
         spent: crate::fuel::FuelSpent,
     },
-    /// The optional wall-clock deadline expired before a schedule was found (service
-    /// use; unlike [`ScheduleError::BudgetExhausted`] this is not deterministic).
-    DeadlineExpired {
-        /// The II being explored when the deadline fired.
-        at_ii: u32,
-    },
     /// A cluster policy panicked and the panic was contained at a scheduling
     /// boundary (see [`crate::containment::contain`]).
     PolicyPanic {
@@ -71,9 +65,6 @@ impl fmt::Display for ScheduleError {
                 "fuel budget exhausted at II={at_ii} (MII={mii}) after {} probes, {} attempts, {} II steps",
                 spent.probes, spent.attempts, spent.ii_steps
             ),
-            ScheduleError::DeadlineExpired { at_ii } => {
-                write!(f, "wall-clock deadline expired at II={at_ii}")
-            }
             ScheduleError::PolicyPanic { message } => {
                 write!(f, "cluster policy panicked (contained): {message}")
             }

@@ -34,18 +34,13 @@ impl ClusterPolicy for UnifiedPolicy {
 }
 
 /// Swing Modulo Scheduler for a unified (single-cluster) VLIW machine.
+///
+/// Register pressure is checked against the register file size: the paper
+/// generates no spill code, so a schedule that exceeds the file is retried at a
+/// larger II.
 #[derive(Debug, Clone)]
 pub struct SmsScheduler {
     machine: MachineConfig,
-    /// Whether register pressure is checked against the register file size (the paper
-    /// generates no spill code; a schedule that exceeds the file is retried at a larger
-    /// II).  On by default.
-    pub check_registers: bool,
-    /// Use the engine's incremental register-pressure tracker (on by default).  The
-    /// unified scheduler checks registers in `WholeSchedule` mode, where the tracker
-    /// is bypassed, but the toggle is kept for API symmetry with the cluster
-    /// schedulers and the equivalence property tests.
-    incremental: bool,
 }
 
 impl SmsScheduler {
@@ -56,17 +51,7 @@ impl SmsScheduler {
     pub fn new(machine: &MachineConfig) -> Self {
         Self {
             machine: machine.clone(),
-            check_registers: true,
-            incremental: true,
         }
-    }
-
-    /// Toggle the engine's incremental register-pressure tracking (used by the
-    /// equivalence property tests; results are identical either way).
-    #[must_use]
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
     }
 
     /// The machine this scheduler targets.
@@ -83,9 +68,7 @@ impl SmsScheduler {
     /// [`crate::engine::ScheduleDiagnostics`].
     pub fn schedule_diag(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
         IiSearchDriver::new(&self.machine)
-            .check_registers(self.check_registers)
             .register_mode(RegisterCheckMode::WholeSchedule)
-            .incremental(self.incremental)
             .schedule(graph, &mut UnifiedPolicy)
     }
 }
@@ -93,6 +76,7 @@ impl SmsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::LimitingResource;
     use vliw_arch::{MachineConfig, OpClass};
     use vliw_ddg::{mii, DepKind, GraphBuilder};
 
@@ -230,24 +214,31 @@ mod tests {
     fn register_check_can_raise_ii() {
         // A machine with a tiny register file forces a larger II (longer lifetimes per
         // row are spread over more rows, lowering MaxLive).
-        let tiny = MachineConfig::new(
-            "tiny-regs",
-            1,
-            vliw_arch::ClusterConfig::new(4, 4, 4, 2),
-            vliw_arch::BusConfig::none(),
-            vliw_arch::LatencyModel::table1(),
-        );
+        let with_registers = |registers: usize| {
+            MachineConfig::new(
+                "tiny-regs",
+                1,
+                vliw_arch::ClusterConfig::new(4, 4, 4, registers),
+                vliw_arch::BusConfig::none(),
+                vliw_arch::LatencyModel::table1(),
+            )
+        };
         let g = saxpy();
-        let mut strict = SmsScheduler::new(&tiny);
-        strict.check_registers = true;
-        let mut relaxed = SmsScheduler::new(&tiny);
-        relaxed.check_registers = false;
-        let relaxed_sched = relaxed.schedule(&g).unwrap();
-        match strict.schedule(&g) {
-            Ok(s) => assert!(s.ii() >= relaxed_sched.ii()),
-            Err(ScheduleError::MaxIiExceeded { .. }) => {} // also acceptable: never fits
-            Err(e) => panic!("unexpected error {e}"),
-        }
+        // A register file no schedule can overflow.
+        let roomy = SmsScheduler::new(&with_registers(10_000))
+            .schedule_diag(&g)
+            .unwrap();
+        let strict = SmsScheduler::new(&with_registers(4))
+            .schedule_diag(&g)
+            .unwrap();
+        assert!(strict.schedule.ii() > roomy.schedule.ii());
+        assert_eq!(strict.diagnostics.limiting, LimitingResource::Registers);
+        assert!(strict.diagnostics.max_live_per_cluster[0] <= 4);
+        // Two registers fit no II the search may try.
+        assert!(matches!(
+            SmsScheduler::new(&with_registers(2)).schedule(&g),
+            Err(ScheduleError::MaxIiExceeded { .. })
+        ));
     }
 
     #[test]

@@ -309,9 +309,7 @@ fn classify(error: &RungError) -> &'static str {
     match error {
         RungError::NotCertified { .. } => "caught-by-certifier",
         RungError::Schedule(ScheduleError::PolicyPanic { .. }) => "contained-panic",
-        RungError::Schedule(
-            ScheduleError::BudgetExhausted { .. } | ScheduleError::DeadlineExpired { .. },
-        ) => "fuel-exhausted",
+        RungError::Schedule(ScheduleError::BudgetExhausted { .. }) => "fuel-exhausted",
         RungError::Schedule(ScheduleError::RoguePolicy(_)) => "refused-rogue-trial",
         RungError::Schedule(ScheduleError::MaxIiExceeded { .. }) => "search-failed",
         RungError::Schedule(_) => "typed-error",
