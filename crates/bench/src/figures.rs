@@ -60,13 +60,12 @@ pub struct Fig4Output {
     pub motivation: Vec<Fig4Motivation>,
 }
 
-/// A [`Sweep`] with both opt-in audit modes wired to their environment variables
-/// (`VERIFY_CELLS` → execution validation, `LINT_CELLS` → static certification) —
-/// the starting point of every figure pipeline.
+/// A [`Sweep`] with execution validation wired to the `VERIFY_CELLS` environment
+/// variable — the starting point of every figure pipeline.  Static certification
+/// of the same schedules is the `lint` binary's job ([`crate::lint_audit`]).
 fn audited_sweep() -> Sweep {
     let mut sweep = Sweep::new();
     sweep.verify_cells(crate::verify_from_env());
-    sweep.lint_cells(crate::lint_from_env());
     sweep
 }
 

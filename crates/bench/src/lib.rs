@@ -28,6 +28,11 @@
 //! * [`figures`] holds the figure pipelines themselves (`fig4`, `fig8`, `fig9`,
 //!   `fig10`) as plain functions from corpora to the serialisable rows the binaries
 //!   print and write, which is also what the golden-output regression test calls.
+//!
+//! Each artifact has one audit path: `VERIFY_CELLS` replays the schedules of a
+//! figure run ([`verify_from_env`]), [`lint_audit`] statically certifies every job
+//! behind the figures for the `lint` binary, and [`optgap`] reads its certificates
+//! from `vliw_verify::check_case_with`, the fuzz campaign's own case audit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -197,7 +202,7 @@ pub fn run_corpus(
     algorithm: Algorithm,
     policy: UnrollPolicy,
 ) -> CorpusResult {
-    let mut results = CorpusRun::new(machine, algorithm, vec![policy], false, false).run(corpus);
+    let mut results = CorpusRun::new(machine, algorithm, vec![policy], false).run(corpus);
     results.pop().expect("one corpus result per policy")
 }
 
@@ -206,18 +211,16 @@ pub fn run_corpus(
 type PerLoop = Option<(LoopContribution, CodeSizeReport, bool, ScheduleDiagnostics)>;
 
 /// One corpus run's settings: the machine, algorithm and policies every loop is
-/// scheduled with, and the audits every schedule goes through.  `verify` replays
-/// every schedule through `vliw_sim`'s differential oracle
-/// ([`vliw_sim::check_schedule`]); `lint` certifies every schedule with `vliw_lint`'s
-/// static certifier and panics on the first deny-level diagnostic.  Both audits
-/// only observe, so the corpus results are identical in every mode;
-/// [`sweep::Sweep`] routes its `VERIFY_CELLS` / `LINT_CELLS` opt-ins through here.
+/// scheduled with, and whether every schedule is audited.  `verify` replays every
+/// schedule through `vliw_sim`'s differential oracle ([`vliw_sim::check_schedule`])
+/// and panics on the first finding.  The audit only observes, so the corpus
+/// results are identical either way; [`sweep::Sweep`] routes its `VERIFY_CELLS`
+/// opt-in through here.
 struct CorpusRun<'a> {
     machine: &'a MachineConfig,
     algorithm: Algorithm,
     policies: Vec<UnrollPolicy>,
     verify: bool,
-    lint: bool,
     code_model: CodeSizeModel,
 }
 
@@ -227,14 +230,12 @@ impl<'a> CorpusRun<'a> {
         algorithm: Algorithm,
         policies: Vec<UnrollPolicy>,
         verify: bool,
-        lint: bool,
     ) -> Self {
         Self {
             machine,
             algorithm,
             policies,
             verify,
-            lint,
             code_model: CodeSizeModel::new(machine),
         }
     }
@@ -276,8 +277,7 @@ impl<'a> CorpusRun<'a> {
         policy: UnrollPolicy,
         scheduled: Result<ClusterSchedule, ScheduleError>,
     ) -> PerLoop {
-        let (machine, algorithm, verify, lint) =
-            (self.machine, self.algorithm, self.verify, self.lint);
+        let (machine, algorithm, verify) = (self.machine, self.algorithm, self.verify);
         let cs: ClusterSchedule = match scheduled {
             Ok(cs) => cs,
             // A plain run counts the loop in `failed_loops` and moves on; an
@@ -327,41 +327,6 @@ impl<'a> CorpusRun<'a> {
                     algorithm,
                     policy.label(),
                     report.findings
-                );
-            }
-        }
-        if lint {
-            // The static counterpart of the execution audit above: certify the
-            // produced kernel (and the exact-unroll remainder) with the lint
-            // framework's deny-level invariants, no replay involved.
-            let report = vliw_lint::Certifier::new(machine).check(
-                &cs.scheduled_graph,
-                &cs.schedule,
-                vliw_sim::verification_iterations(&cs.scheduled_graph),
-            );
-            assert!(
-                report.is_certified(),
-                "lint_cells: loop {} on {} ({:?}, policy {}): {:?}",
-                cs.scheduled_graph.name,
-                machine,
-                algorithm,
-                policy.label(),
-                report.diagnostics
-            );
-            if let Some(rem) = &cs.remainder {
-                let report = vliw_lint::Certifier::new(machine).check(
-                    graph,
-                    &rem.schedule,
-                    vliw_sim::verification_iterations(graph),
-                );
-                assert!(
-                    report.is_certified(),
-                    "lint_cells: remainder epilogue of loop {} on {} ({:?}, policy {}): {:?}",
-                    graph.name,
-                    machine,
-                    algorithm,
-                    policy.label(),
-                    report.diagnostics
                 );
             }
         }
@@ -458,16 +423,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::p
 /// figure with every schedule of every cell audited by the differential oracle.
 pub fn verify_from_env() -> bool {
     std::env::var("VERIFY_CELLS").is_ok_and(|v| v != "0")
-}
-
-/// Whether figure pipelines should run statically certified, from the `LINT_CELLS`
-/// environment variable (set it to anything but `0`) — the static mirror of
-/// [`verify_from_env`].  Every figure pipeline feeds this into
-/// [`sweep::Sweep::lint_cells`], so `LINT_CELLS=1 cargo run --release -p vliw-bench
-/// --bin fig9` reproduces the figure with every schedule of every cell certified by
-/// `vliw_lint` — no replay, just the dataflow proofs.
-pub fn lint_from_env() -> bool {
-    std::env::var("LINT_CELLS").is_ok_and(|v| v != "0")
 }
 
 /// The standard corpus used by all experiment binaries, optionally shrunk by the

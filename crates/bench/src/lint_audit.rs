@@ -202,6 +202,8 @@ pub fn audit_figures(corpora: &[LoopCorpus]) -> LintAuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::job_key;
+    use std::collections::BTreeSet;
     use vliw_workloads::SpecFp95;
 
     fn small_corpus() -> Vec<LoopCorpus> {
@@ -217,21 +219,46 @@ mod tests {
         // far smaller but still substantial (fig4's grid alone has 56 clustered
         // machines), and every entry is structurally unique.
         assert!(jobs.len() >= 60, "only {} jobs", jobs.len());
-        let keys: std::collections::BTreeSet<String> = jobs
-            .iter()
-            .map(|(m, a, p)| {
-                format!(
-                    "{a:?}|{p:?}|{}",
-                    serde_json::to_string(&(m.n_clusters, &m.cluster, &m.buses, &m.latencies))
-                        .unwrap()
-                )
-            })
-            .collect();
+        let keys: BTreeSet<String> = jobs.iter().map(|(m, a, p)| job_key(m, *a, *p)).collect();
         assert_eq!(
             keys.len(),
             jobs.len(),
             "duplicate job escaped deduplication"
         );
+    }
+
+    #[test]
+    fn figure_jobs_cover_every_job_of_each_figure() {
+        // The `lint` binary is the static audit of every figure run: each job any
+        // single figure schedules, baselines included, must be one it certifies.
+        let audited: BTreeSet<String> = figure_jobs()
+            .iter()
+            .map(|(m, a, p)| job_key(m, *a, *p))
+            .collect();
+        let declared = |declare: fn(&mut Sweep)| {
+            let mut sweep = Sweep::new();
+            declare(&mut sweep);
+            sweep.jobs()
+        };
+        for (figure, jobs) in [
+            ("fig4", declared(|s| drop(figures::declare_fig4(s)))),
+            ("fig8", declared(|s| drop(figures::declare_fig8(s)))),
+            ("fig9", declared(|s| drop(figures::declare_fig9(s)))),
+            ("fig10", declared(|s| drop(figures::declare_fig10(s)))),
+            (
+                "fig_unroll",
+                declared(|s| drop(figures::declare_fig_unroll(s))),
+            ),
+        ] {
+            assert!(!jobs.is_empty(), "{figure} declares no job");
+            for (m, a, p) in &jobs {
+                assert!(
+                    audited.contains(&job_key(m, *a, *p)),
+                    "{figure}: job ({}, {a:?}, {p:?}) escapes the lint audit",
+                    m.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! machines, certifies every `(loop, target machine)` pair with the solver, and
 //! reports the certified gap `achieved II − certified lower bound` of every
 //! schedule, histogrammed along four axes: policy, machine structure, limiting
-//! resource and unroll factor.
+//! resource and unroll factor.  Every audit is the fuzz campaign's own
+//! [`vliw_verify::check_case_with`] on the case retargeted to a Table-1 machine,
+//! with a deeper solver budget ([`OPTGAP_SOLVER_PROBES`]); this module only
+//! picks the corpus and folds the outcomes.
 //!
 //! Everything is deterministic — the corpus is derived from a pinned seed, the
 //! schedulers and the solver are deterministic, and every aggregate is folded in
@@ -25,7 +28,7 @@ use std::collections::BTreeMap;
 use vliw_arch::{MachineConfig, MachineSpace};
 use vliw_lint::{OptVerdict, OptimalSolver};
 use vliw_sms::FuelBudget;
-use vliw_verify::{audit_scheduled, generate_case, Policy, PolicyOutcome};
+use vliw_verify::{check_case_with, generate_case, CaseOutcome, FuzzCase, Policy, PolicyOutcome};
 
 /// The pinned campaign seed the corpus derives from.
 pub const OPTGAP_SEED: u64 = 20_260_809;
@@ -130,7 +133,7 @@ pub struct OptGapReport {
 /// whose bodies fit [`OPTGAP_MAX_NODES`], scheduled on the *fixed* Table-1
 /// machines rather than each case's sampled one.  Deterministic: the scan order
 /// over fuzz indices is fixed, so the kept case set is pinned by the seed.
-pub fn reduced_corpus() -> Vec<vliw_verify::FuzzCase> {
+pub fn reduced_corpus() -> Vec<FuzzCase> {
     let space = MachineSpace::table1();
     let mut cases = Vec::new();
     let mut index = 0u64;
@@ -152,76 +155,24 @@ fn verdict_label(v: &OptVerdict) -> &'static str {
     }
 }
 
-/// The audit of one `(case, machine)` pair: every policy on the original loop,
-/// plus the case's sampled exactly-unrolled kernel under BSA.  `None` entries
-/// are budget-exhausted II searches (counted as `unschedulable`).
-///
-/// Two passes, like `vliw_verify::check_case`: schedule every policy first,
-/// then certify each distinct target machine with the *best* achieved II as the
-/// solver's incumbent (the schedules the oracles validate are themselves
-/// feasibility witnesses), and finally audit every schedule against its
-/// machine's certificate.
-fn audit_pair(
-    case_index: u64,
-    graph: &vliw_ddg::DepGraph,
-    unroll_factor: u32,
-    machine: &MachineConfig,
-    solver: &OptimalSolver,
-) -> Vec<Option<OptGapRow>> {
-    let schedules: Vec<_> = Policy::ALL
+/// The rows of one audited `(case, Table-1 machine)` pair: every policy on the
+/// original loop, then the case's sampled exactly-unrolled kernel under BSA.
+/// `None` rows are budget-exhausted II searches (counted as `unschedulable`).
+fn gap_rows(outcome: &CaseOutcome) -> Vec<Option<OptGapRow>> {
+    let (index, machine) = (outcome.case.index, &outcome.case.machine);
+    let mut rows: Vec<_> = outcome
+        .outcomes
         .iter()
-        .map(|&policy| {
-            (
-                policy,
-                vliw_sms::contain_schedule(|| policy.schedule(machine, graph)),
-            )
-        })
+        .map(|(policy, o)| row_of(index, machine, policy.label(), 1, o))
         .collect();
-    // One solve per distinct target machine, shared across the policies — the
-    // clustered policies target `machine` itself, the SMS reference its unified
-    // counterpart.
-    let unified_target = Policy::UnifiedSms.target_machine(machine);
-    let best_ii = |target: &MachineConfig| {
-        schedules
-            .iter()
-            .filter(|(p, _)| p.target_machine(machine) == *target)
-            .filter_map(|(_, r)| r.as_ref().ok().map(|out| out.diagnostics.ii))
-            .min()
-    };
-    let base_cert = solver.certify_with_incumbent(graph, machine, best_ii(machine));
-    let unified_cert =
-        solver.certify_with_incumbent(graph, &unified_target, best_ii(&unified_target));
-
-    let mut rows = Vec::new();
-    for (policy, result) in schedules {
-        let cert = match policy {
-            Policy::UnifiedSms => &unified_cert,
-            _ => &base_cert,
-        };
-        let outcome = match result {
-            Ok(out) => audit_scheduled(policy, machine, graph, &out, cert),
-            Err(vliw_sms::ScheduleError::MaxIiExceeded { .. }) => PolicyOutcome::Unschedulable,
-            Err(e) => PolicyOutcome::Rejected {
-                error: e.to_string(),
-            },
-        };
-        rows.push(row_of(case_index, machine, policy.label(), 1, &outcome));
-    }
-    // The unroll row: the exactly-unrolled kernel is a different loop, so it
-    // gets its own schedule-then-solve on the clustered machine.
-    if unroll_factor >= 2 && unroll_factor as u64 <= graph.iterations {
-        let kernel = vliw_ddg::unroll_exact(graph, unroll_factor).kernel;
-        let scheduled = vliw_sms::contain_schedule(|| Policy::Bsa.schedule(machine, &kernel));
-        let incumbent = scheduled.as_ref().ok().map(|out| out.diagnostics.ii);
-        let cert = solver.certify_with_incumbent(&kernel, machine, incumbent);
-        let outcome = match scheduled {
-            Ok(out) => audit_scheduled(Policy::Bsa, machine, &kernel, &out, &cert),
-            Err(vliw_sms::ScheduleError::MaxIiExceeded { .. }) => PolicyOutcome::Unschedulable,
-            Err(e) => PolicyOutcome::Rejected {
-                error: e.to_string(),
-            },
-        };
-        rows.push(row_of(case_index, machine, "bsa", unroll_factor, &outcome));
+    if let Some(unrolled) = &outcome.unrolled {
+        rows.push(row_of(
+            index,
+            machine,
+            Policy::Bsa.label(),
+            unrolled.factor,
+            &unrolled.outcome,
+        ));
     }
     rows
 }
@@ -293,20 +244,18 @@ pub fn fig_optgap() -> OptGapReport {
     ];
     let solver = OptimalSolver::new(FuelBudget::probes(OPTGAP_SOLVER_PROBES));
     let corpus = reduced_corpus();
-    let jobs: Vec<(&vliw_verify::FuzzCase, &MachineConfig)> = corpus
+    let jobs: Vec<(&FuzzCase, &MachineConfig)> = corpus
         .iter()
         .flat_map(|case| machines.iter().map(move |m| (case, m)))
         .collect();
     let audited: Vec<Vec<Option<OptGapRow>>> = jobs
         .par_iter()
         .map(|&(case, machine)| {
-            audit_pair(
-                case.index,
-                &case.graph,
-                case.unroll_factor,
-                machine,
-                &solver,
-            )
+            let retargeted = FuzzCase {
+                machine: machine.clone(),
+                ..case.clone()
+            };
+            gap_rows(&check_case_with(retargeted, &solver))
         })
         .collect();
 
@@ -382,15 +331,19 @@ mod tests {
         let machine = MachineConfig::two_cluster(1, 1);
         let solver = OptimalSolver::new(FuelBudget::probes(20_000));
         for index in 0..2 {
-            let case = generate_case(OPTGAP_SEED, index, &MachineSpace::table1());
-            let a = audit_pair(index, &case.graph, case.unroll_factor, &machine, &solver);
-            let b = audit_pair(index, &case.graph, case.unroll_factor, &machine, &solver);
+            let case = FuzzCase {
+                machine: machine.clone(),
+                ..generate_case(OPTGAP_SEED, index, &MachineSpace::table1())
+            };
+            let a = gap_rows(&check_case_with(case.clone(), &solver));
+            let b = gap_rows(&check_case_with(case, &solver));
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 match (x, y) {
                     (None, None) => {}
                     (Some(x), Some(y)) => {
                         assert_eq!((x.ii, x.lower_bound, x.gap), (y.ii, y.lower_bound, y.gap));
+                        assert_eq!(x.machine, machine.name);
                         assert!(!certificate_violated(x), "{x:?}");
                     }
                     _ => panic!("determinism violated at case {index}"),

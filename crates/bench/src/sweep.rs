@@ -32,6 +32,8 @@
 //! turning any figure pipeline into an execution-validated experiment at the cost of
 //! a bounded per-loop replay.  The audit only observes, so validated outputs remain
 //! byte-identical; a violation aborts the run with the offending loop and machine.
+//! Static certification is not a sweep mode: the `lint` binary certifies every
+//! job behind all five figures at once ([`crate::lint_audit`], via [`Sweep::jobs`]).
 
 use crate::{Algorithm, CorpusResult, CorpusRun};
 use cvliw_core::UnrollPolicy;
@@ -95,7 +97,6 @@ pub type SweepJob = (MachineConfig, Algorithm, UnrollPolicy);
 pub struct Sweep {
     cells: Vec<CellSpec>,
     verify: bool,
-    lint: bool,
 }
 
 impl Sweep {
@@ -113,19 +114,6 @@ impl Sweep {
     /// `VERIFY_CELLS` environment variable via [`crate::verify_from_env`].
     pub fn verify_cells(&mut self, on: bool) -> &mut Self {
         self.verify = on;
-        self
-    }
-
-    /// Opt this sweep into **static certification** — the static mirror of
-    /// [`Sweep::verify_cells`]: every schedule of every `(job, corpus)` pair is
-    /// checked by `vliw_lint`'s deny-level certifier (dependences, resource
-    /// conflicts, register pressure, the `NCYCLES` window and the code-size clamp,
-    /// all proven without replaying a cycle) and the run panics on the first
-    /// uncertified schedule.  Off by default; the figure pipelines wire this to the
-    /// `LINT_CELLS` environment variable via [`crate::lint_from_env`].  The audit
-    /// only observes, so outputs stay byte-identical.
-    pub fn lint_cells(&mut self, on: bool) -> &mut Self {
-        self.lint = on;
         self
     }
 
@@ -221,7 +209,7 @@ impl Sweep {
             .map(|members| {
                 let (machine, algorithm, _) = &jobs[members[0]];
                 let policies = members.iter().map(|&j| jobs[j].2).collect();
-                CorpusRun::new(machine, *algorithm, policies, self.verify, self.lint)
+                CorpusRun::new(machine, *algorithm, policies, self.verify)
             })
             .collect();
         let units: Vec<(usize, &DepGraph)> = (0..groups.len())
@@ -293,7 +281,11 @@ fn group_key(machine: &MachineConfig, algorithm: Algorithm) -> String {
 }
 
 /// Structural job key: the [`group_key`] and the policy.
-fn job_key(machine: &MachineConfig, algorithm: Algorithm, policy: UnrollPolicy) -> String {
+pub(crate) fn job_key(
+    machine: &MachineConfig,
+    algorithm: Algorithm,
+    policy: UnrollPolicy,
+) -> String {
     format!("{}|{policy:?}", group_key(machine, algorithm))
 }
 
@@ -474,32 +466,6 @@ mod tests {
         let a = plain.run(&corpora);
         let b = verified.run(&corpora);
         for (x, y) in a.cell(id).iter().zip(b.cell(vid)) {
-            assert_eq!(x.result.ipc, y.result.ipc);
-            assert_eq!(x.relative_ipc, y.relative_ipc);
-        }
-    }
-
-    #[test]
-    fn linted_sweeps_produce_identical_outcomes() {
-        let corpora = small_corpora();
-        let declare = |sweep: &mut Sweep| {
-            sweep.cell_vs(
-                MachineConfig::two_cluster(1, 1),
-                Algorithm::Bsa,
-                UnrollPolicy::Selective,
-                Baseline::UnifiedCounterpart,
-            )
-        };
-        let mut plain = Sweep::new();
-        let id = declare(&mut plain);
-        let mut linted = Sweep::new();
-        linted.lint_cells(true);
-        let lid = declare(&mut linted);
-        // The static certifier only observes: a linted run must neither change a
-        // number nor panic on schedules the engine actually produces.
-        let a = plain.run(&corpora);
-        let b = linted.run(&corpora);
-        for (x, y) in a.cell(id).iter().zip(b.cell(lid)) {
             assert_eq!(x.result.ipc, y.result.ipc);
             assert_eq!(x.relative_ipc, y.relative_ipc);
         }

@@ -68,4 +68,4 @@ pub use resilient::{
     LadderFailure, ResilientOutcome, ResilientScheduler, RungError, RungFailure, FALLBACK_RUNGS,
 };
 pub use result::{ClusterSchedule, LoopScheduler, RemainderEpilogue};
-pub use unroll_policy::{SelectiveUnroller, UnrollPolicy, DEFAULT_EXPLORE_CODE_GROWTH};
+pub use unroll_policy::{SelectiveUnroller, UnrollPolicy, EXPLORE_CODE_GROWTH};

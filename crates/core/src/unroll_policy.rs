@@ -22,8 +22,7 @@
 //!   the `fig_unroll` experiment.
 //! * [`UnrollPolicy::Explore`]`{ max_factor }` — schedule every candidate factor
 //!   `1..=max_factor` and keep the best IPC whose static code size stays within a
-//!   budget (a multiple of the non-unrolled loop's code, see
-//!   [`SelectiveUnroller::with_explore_code_growth`]).  The engine's
+//!   budget ([`EXPLORE_CODE_GROWTH`] times the non-unrolled loop's code).  The engine's
 //!   [`ScheduleDiagnostics`](vliw_sms::ScheduleDiagnostics) prune the search: once a
 //!   candidate is register-limited and fails to win, larger factors are not tried —
 //!   `MaxLive` pressure only grows with the factor.
@@ -104,9 +103,10 @@ impl std::fmt::Display for UnrollPolicy {
     }
 }
 
-/// Default [`SelectiveUnroller::with_explore_code_growth`] budget: an explored
-/// winner may spend at most this multiple of the non-unrolled loop's static code.
-pub const DEFAULT_EXPLORE_CODE_GROWTH: f64 = 4.0;
+/// The [`UnrollPolicy::Explore`] code-size budget: an explored winner's static
+/// code (kernel + remainder loop) may be at most this multiple of the
+/// non-unrolled loop's.
+pub const EXPLORE_CODE_GROWTH: f64 = 4.0;
 
 /// The unrolling driver: the selective algorithm of Figure 6 plus the generalized
 /// factor policies, generic over the underlying scheduler (BSA in the paper; the
@@ -115,30 +115,17 @@ pub const DEFAULT_EXPLORE_CODE_GROWTH: f64 = 4.0;
 #[derive(Debug, Clone)]
 pub struct SelectiveUnroller<S> {
     scheduler: S,
-    explore_code_growth: f64,
 }
 
 impl<S: LoopScheduler> SelectiveUnroller<S> {
     /// Wrap `scheduler` with the unrolling policies.
     pub fn new(scheduler: S) -> Self {
-        Self {
-            scheduler,
-            explore_code_growth: DEFAULT_EXPLORE_CODE_GROWTH,
-        }
+        Self { scheduler }
     }
 
     /// The wrapped scheduler.
     pub fn scheduler(&self) -> &S {
         &self.scheduler
-    }
-
-    /// Set the [`UnrollPolicy::Explore`] code-size budget: a candidate factor is
-    /// admissible only while its static code (kernel + remainder loop) stays within
-    /// `ratio ×` the non-unrolled loop's code.  Defaults to
-    /// [`DEFAULT_EXPLORE_CODE_GROWTH`].
-    pub fn with_explore_code_growth(mut self, ratio: f64) -> Self {
-        self.explore_code_growth = ratio;
-        self
     }
 
     /// Schedule `graph` with the given policy: the one-policy case of
@@ -340,7 +327,7 @@ impl<'a, S: LoopScheduler> LoopMemo<'a, S> {
     /// The winner maximizes IPC (exact remainder accounting included) among the
     /// candidates whose static code size — kernel plus remainder loop, from the
     /// machine's [`CodeSizeModel`] — stays within the
-    /// [`SelectiveUnroller::with_explore_code_growth`] budget.  The factor-1
+    /// [`EXPLORE_CODE_GROWTH`] budget.  The factor-1
     /// schedule is always a candidate, so `Explore` never returns a schedule worse
     /// than [`UnrollPolicy::None`]; it is also every candidate's remainder
     /// epilogue.  Candidate factors that cannot be scheduled are skipped; the
@@ -353,7 +340,7 @@ impl<'a, S: LoopScheduler> LoopMemo<'a, S> {
             return Ok(base);
         }
         let model = CodeSizeModel::new(self.unroller.scheduler.machine());
-        let budget = base.code_size(&model).total_slots as f64 * self.unroller.explore_code_growth;
+        let budget = base.code_size(&model).total_slots as f64 * EXPLORE_CODE_GROWTH;
         let mut best_ipc = base.ipc();
         let mut best = base;
         for factor in 2..=max_factor {
@@ -416,6 +403,7 @@ mod tests {
     use vliw_arch::{MachineConfig, OpClass};
     use vliw_ddg::GraphBuilder;
     use vliw_sms::{ModuloSchedule, ScheduleDiagnostics};
+    use vliw_workloads::{LoopCorpus, SpecFp95};
 
     /// A loop body with plenty of intra-iteration value traffic but no loop-carried
     /// dependences: the classic case where unrolling lets each cluster run its own
@@ -619,16 +607,33 @@ mod tests {
 
     #[test]
     fn explore_respects_the_code_size_budget() {
-        // A zero budget rules every unrolled candidate out: the winner must be the
-        // factor-1 schedule no matter how profitable unrolling would be.
+        // However profitable a larger factor would be, every Explore winner's code
+        // stays within EXPLORE_CODE_GROWTH × its factor-1 code.
         let machine = MachineConfig::four_cluster(1, 1);
-        let driver =
-            SelectiveUnroller::new(BsaScheduler::new(&machine)).with_explore_code_growth(0.0);
-        let g = parallel_loop();
-        let r = driver
-            .schedule_with_policy(&g, UnrollPolicy::Explore { max_factor: 8 })
-            .unwrap();
-        assert_eq!(r.unroll_factor, 1);
+        let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+        let model = CodeSizeModel::new(&machine);
+        // Mgrid's small bodies include loops whose best IPC lies past the budget.
+        let corpus = LoopCorpus::generate(SpecFp95::Mgrid);
+        let policies = [UnrollPolicy::None, UnrollPolicy::Explore { max_factor: 8 }];
+        let mut unrolled = 0;
+        for g in corpus.loops.iter().filter(|g| g.n_nodes() <= 13).take(4) {
+            let [none, explored] = <[_; 2]>::try_from(driver.schedule_with_policies(g, &policies))
+                .expect("one result per policy")
+                .map(|r| r.expect("schedulable"));
+            let budget = none.code_size(&model).total_slots as f64 * EXPLORE_CODE_GROWTH;
+            let spent = explored.code_size(&model).total_slots;
+            assert!(
+                spent as f64 <= budget,
+                "{}: x{} spends {spent} slots, budget {budget}",
+                g.name,
+                explored.unroll_factor
+            );
+            unrolled += usize::from(explored.unroll_factor > 1);
+        }
+        assert!(
+            unrolled > 0,
+            "no winner unrolled: the budget was never tested"
+        );
     }
 
     #[test]

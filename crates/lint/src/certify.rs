@@ -31,7 +31,7 @@ use crate::lints::{self, LintDescriptor};
 use crate::liveness::ModuloLiveness;
 use crate::makespan::{ncycles_drift_ok, static_makespan, static_ncycles, static_stage_count};
 use crate::optimal::OptCertificate;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use vliw_arch::{MachineConfig, ResourceIndex, ResourceKind, ResourcePool};
 use vliw_ddg::DepGraph;
 use vliw_sms::ModuloSchedule;
@@ -50,7 +50,6 @@ pub const IMBALANCE_GAP: usize = 4;
 #[derive(Debug, Clone)]
 pub struct Certifier {
     machine: MachineConfig,
-    suppressed: BTreeSet<String>,
     certificate: Option<OptCertificate>,
 }
 
@@ -59,7 +58,6 @@ impl Certifier {
     pub fn new(machine: &MachineConfig) -> Self {
         Self {
             machine: machine.clone(),
-            suppressed: BTreeSet::new(),
             certificate: None,
         }
     }
@@ -74,19 +72,6 @@ impl Certifier {
         self
     }
 
-    /// Suppress `lint_id` for this certifier's runs.  Panics on an unknown id so a
-    /// typo cannot silently suppress nothing.
-    #[must_use]
-    pub fn allow(mut self, lint_id: &str) -> Self {
-        assert!(
-            lints::find(lint_id).is_some(),
-            "unknown lint id {lint_id:?}; known lints: {:?}",
-            lints::ALL.map(|l| l.id)
-        );
-        self.suppressed.insert(lint_id.to_string());
-        self
-    }
-
     /// Certify `sched` against `graph`, checking the `NCYCLES` window for
     /// `iterations` iterations (use `vliw_sim::verification_iterations` to match
     /// the dynamic oracles).
@@ -95,13 +80,11 @@ impl Certifier {
         let ii = sched.ii() as i64;
         let mut diags: Vec<Diagnostic> = Vec::new();
         let emit = |diags: &mut Vec<Diagnostic>, lint: LintDescriptor, message: String| {
-            if !self.suppressed.contains(lint.id) {
-                diags.push(Diagnostic {
-                    lint: lint.id.to_string(),
-                    severity: lint.severity,
-                    message,
-                });
-            }
+            diags.push(Diagnostic {
+                lint: lint.id.to_string(),
+                severity: lint.severity,
+                message,
+            });
         };
 
         // Completeness and placement sanity (mirrors the validator's first pass,
@@ -421,7 +404,6 @@ impl Certifier {
             stage_count: static_stage_count(sched),
             iterations,
             diagnostics,
-            suppressed: self.suppressed.iter().cloned().collect(),
         };
         report.sort_diagnostics();
         report
@@ -459,28 +441,5 @@ mod tests {
         assert!(report.is_certified(), "{:?}", report.diagnostics);
         assert_eq!(report.loop_name, "saxpy");
         assert_eq!(report.stage_count, sched.stage_count());
-    }
-
-    #[test]
-    fn suppression_silences_a_lint() {
-        let machine = MachineConfig::unified();
-        let g = saxpy();
-        let sched = vliw_sms::ModuloSchedule::new("saxpy", g.n_nodes(), 2, 1);
-        let certifier = Certifier::new(&machine).allow("unscheduled-node");
-        let report = certifier.check(&g, &sched, 8);
-        assert!(
-            !report
-                .diagnostics
-                .iter()
-                .any(|d| d.lint == "unscheduled-node"),
-            "suppressed lint still fired"
-        );
-        assert_eq!(report.suppressed, vec!["unscheduled-node".to_string()]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown lint id")]
-    fn unknown_suppression_panics() {
-        let _ = Certifier::new(&MachineConfig::unified()).allow("no-such-lint");
     }
 }

@@ -1,9 +1,8 @@
 //! Structured, deterministic lint diagnostics.
 //!
 //! Every certifier run produces one [`LintReport`]: a serialisable record of the
-//! schedule's identity, the diagnostics that fired (deny first, then warn, each
-//! group sorted by lint id then message) and which lints were suppressed.  The
-//! ordering is part of the format — reports for the same schedule are
+//! schedule's identity and the diagnostics that fired (deny first, then warn,
+//! each group sorted by lint id then message).  The ordering is part of the format — reports for the same schedule are
 //! byte-identical across runs, which is what lets `results/lint_report.json` sit
 //! in the golden byte-identity suite next to the figure artifacts.
 
@@ -46,8 +45,6 @@ pub struct LintReport {
     pub iterations: u64,
     /// Findings: deny first, then warn; each group sorted by (lint, message).
     pub diagnostics: Vec<Diagnostic>,
-    /// Lint ids suppressed for this run, sorted.
-    pub suppressed: Vec<String>,
 }
 
 impl LintReport {
@@ -135,7 +132,6 @@ mod tests {
                 diag("fu-conflict", Severity::Deny, "b"),
                 diag("fu-conflict", Severity::Deny, "a"),
             ],
-            suppressed: vec![],
         };
         assert_eq!(report.deny_count(), 2);
         assert_eq!(report.warn_count(), 1);
@@ -160,7 +156,6 @@ mod tests {
             stage_count: 2,
             iterations: 8,
             diagnostics: vec![diag("dead-value", Severity::Warn, "x")],
-            suppressed: vec!["ii-slack".into()],
         };
         let json = serde_json::to_string(&report).unwrap();
         let back: LintReport = serde_json::from_str(&json).unwrap();

@@ -12,7 +12,7 @@
 //! * [`makespan`] — closed-form makespan / `NCYCLES` re-derivation and the IPC
 //!   drift window;
 //! * [`lints`] / [`diagnostics`] — the lint registry (stable ids, fixed
-//!   severities, per-lint suppression) and deterministic structured reports;
+//!   severities) and deterministic structured reports;
 //! * [`certify`] — the deny-level certifier proving the dynamic verifier's four
 //!   invariants without execution, plus warn-level schedule-quality lints;
 //! * [`optimal`] — the budgeted branch-and-bound exact modulo scheduler whose
@@ -20,9 +20,8 @@
 //! * [`reportio`] — the report-writing/exit-code tail shared by the gate bins.
 //!
 //! The certifier is wired into `vliw-verify` as a fifth, *static* oracle
-//! (cross-checked against the dynamic four on every fuzz case) and into
-//! `vliw_bench::Sweep` as the `LINT_CELLS=1` audit mode; the `lint` binary audits
-//! every schedule behind the committed figure artifacts into
+//! (cross-checked against the dynamic four on every fuzz case); the `lint` binary
+//! audits every schedule behind the committed figure artifacts into
 //! `results/lint_report.json`.
 
 #![forbid(unsafe_code)]

@@ -6,8 +6,7 @@
 //! reservation-table conflict freedom, register-pressure bounds, the
 //! `NCYCLES`-window) plus the code-size clamp promoted from a `debug_assert!`.
 //! Warn-level lints are *quality* observations that never fail certification.
-//! Ids are stable API: suppression (`Certifier::allow`), reports and CI assertions
-//! key on them.
+//! Ids are stable API: reports and CI assertions key on them.
 
 use crate::diagnostics::Severity;
 
@@ -143,24 +142,17 @@ pub const ALL: [LintDescriptor; 14] = [
     REGISTER_CLIFF,
 ];
 
-/// Look a lint up by id.
-pub fn find(id: &str) -> Option<&'static LintDescriptor> {
-    ALL.iter().find(|l| l.id == id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn ids_are_unique_and_findable() {
+    fn ids_are_unique() {
         for (i, a) in ALL.iter().enumerate() {
-            assert_eq!(find(a.id), Some(a));
             for b in &ALL[i + 1..] {
                 assert_ne!(a.id, b.id, "duplicate lint id");
             }
         }
-        assert_eq!(find("no-such-lint"), None);
     }
 
     #[test]

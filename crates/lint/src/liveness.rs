@@ -204,11 +204,6 @@ impl ModuloLiveness {
             .get(&node.0)
             .is_some_and(|&bit| self.live_in[cluster][row].contains(bit))
     }
-
-    /// The dense bit assigned to `node`'s value, if it defines one.
-    pub fn bit_of(&self, node: NodeId) -> Option<usize> {
-        self.value_bits.get(&node.0).copied()
-    }
 }
 
 /// Re-derive every live range of `sched` under the documented lifetime model: a

@@ -49,7 +49,6 @@ pub struct CommRequest {
 pub fn required_comms(
     graph: &DepGraph,
     sched: &ModuloSchedule,
-    machine: &MachineConfig,
     node: NodeId,
     cluster: usize,
     cycle: i64,
@@ -113,7 +112,6 @@ pub fn required_comms(
             deadline,
         });
     }
-    let _ = machine;
     requests
 }
 
@@ -301,19 +299,13 @@ pub enum CommAllocation {
     WindowTooSmall,
 }
 
-impl CommAllocation {
-    /// Whether the allocation succeeded.
-    pub fn is_satisfied(&self) -> bool {
-        matches!(self, CommAllocation::Satisfied(_))
-    }
-}
-
 /// Try to allocate buses for all `requests`, reserving slots in `mrt`.
 ///
-/// The caller guarantees no request is covered by a committed transfer
-/// ([`ProbeComms::requests_at`] dropped those), so only reuse between the requests
-/// of this call is checked.  On failure every reservation made for this call is
-/// rolled back and the MRT is unchanged.
+/// The caller guarantees that no request is covered by a committed transfer
+/// ([`ProbeComms::requests_at`] dropped those) and that no two requests carry the
+/// same value to the same cluster ([`ProbeComms::collect`] merged those), so every
+/// request needs a transfer of its own.  On failure every reservation made for
+/// this call is rolled back and the MRT is unchanged.
 pub(crate) fn allocate_uncovered_comms(
     requests: &[CommRequest],
     pool: &ResourcePool,
@@ -332,19 +324,6 @@ pub(crate) fn allocate_uncovered_comms(
     };
 
     for req in requests {
-        // Re-use a transfer of the same value to the same cluster made by this call
-        // if it arrives in time and was not sent before the value was ready
-        // (modulo-II periodicity makes any earlier compatible transfer usable every
-        // iteration).
-        let reused = new_comms.iter().any(|c| {
-            c.src_node == req.src_node
-                && c.to_cluster == req.to_cluster
-                && c.start_cycle >= req.ready
-                && c.start_cycle + c.duration as i64 <= req.deadline
-        });
-        if reused {
-            continue;
-        }
         if req.deadline - req.ready < latency as i64 {
             rollback(mrt, &mut reservations);
             return CommAllocation::WindowTooSmall;
@@ -400,7 +379,7 @@ mod tests {
 
     #[test]
     fn no_comms_needed_within_one_cluster() {
-        let (machine, pool) = two_cluster();
+        let (_, pool) = two_cluster();
         let g = graph_pair();
         let mut sched = ModuloSchedule::new("pair", 2, 4, 1);
         sched.place(PlacedOp {
@@ -409,13 +388,13 @@ mod tests {
             cluster: 0,
             fu: pool.fus(0, FuKind::Mem).next().unwrap(),
         });
-        let reqs = required_comms(&g, &sched, &machine, NodeId(1), 0, 3);
+        let reqs = required_comms(&g, &sched, NodeId(1), 0, 3);
         assert!(reqs.is_empty());
     }
 
     #[test]
     fn incoming_value_from_other_cluster_requires_a_transfer() {
-        let (machine, pool) = two_cluster();
+        let (_, pool) = two_cluster();
         let g = graph_pair();
         let mut sched = ModuloSchedule::new("pair", 2, 4, 1);
         sched.place(PlacedOp {
@@ -424,7 +403,7 @@ mod tests {
             cluster: 0,
             fu: pool.fus(0, FuKind::Mem).next().unwrap(),
         });
-        let reqs = required_comms(&g, &sched, &machine, NodeId(1), 1, 5);
+        let reqs = required_comms(&g, &sched, NodeId(1), 1, 5);
         assert_eq!(reqs.len(), 1);
         let r = &reqs[0];
         assert_eq!(r.src_node, NodeId(0));
@@ -435,7 +414,7 @@ mod tests {
 
     #[test]
     fn outgoing_value_to_scheduled_successor() {
-        let (machine, pool) = two_cluster();
+        let (_, pool) = two_cluster();
         let g = graph_pair();
         let mut sched = ModuloSchedule::new("pair", 2, 4, 1);
         // The consumer is already placed on cluster 1; we now try the producer on 0.
@@ -445,7 +424,7 @@ mod tests {
             cluster: 1,
             fu: pool.fus(1, FuKind::Fp).next().unwrap(),
         });
-        let reqs = required_comms(&g, &sched, &machine, NodeId(0), 0, 1);
+        let reqs = required_comms(&g, &sched, NodeId(0), 0, 1);
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].ready, 3); // issue 1 + latency 2
         assert_eq!(reqs[0].deadline, 6);
@@ -555,12 +534,12 @@ mod tests {
         let early = probe.requests_at(2);
         assert_eq!(early.len(), 1);
         assert_eq!((early[0].src_node, early[0].to_cluster), (a, 1));
-        assert_eq!(early, &required_comms(&g, &sched, &machine, c, 1, 2)[..]);
+        assert_eq!(early, &required_comms(&g, &sched, c, 1, 2)[..]);
     }
 
     #[test]
     fn duplicate_requests_are_merged() {
-        let (machine, pool) = two_cluster();
+        let (_, pool) = two_cluster();
         let mut g = DepGraph::new("fanin");
         let a = g.add_node(OpClass::Load);
         let b = g.add_node(OpClass::FpAdd);
@@ -574,7 +553,7 @@ mod tests {
             cluster: 0,
             fu: pool.fus(0, FuKind::Mem).next().unwrap(),
         });
-        let reqs = required_comms(&g, &sched, &machine, b, 1, 5);
+        let reqs = required_comms(&g, &sched, b, 1, 5);
         assert_eq!(reqs.len(), 1);
     }
 }

@@ -145,16 +145,6 @@ pub struct CaseOutcome {
     pub unrolled: Option<UnrollAudit>,
 }
 
-impl CaseOutcome {
-    /// The policies whose outcome demonstrates a violation.
-    pub fn violating_policies(&self) -> impl Iterator<Item = Policy> + '_ {
-        self.outcomes
-            .iter()
-            .filter(|(_, o)| o.is_violation())
-            .map(|&(p, _)| p)
-    }
-}
-
 /// Run `policy` on one `(machine, graph)` pair and audit the result.
 ///
 /// The scheduler call runs behind [`vliw_sms::contain_schedule`]: a panic in any
@@ -162,14 +152,24 @@ impl CaseOutcome {
 /// [`PolicyOutcome::Rejected`] violation of that one case, instead of unwinding
 /// through the rayon pool and killing the whole campaign.
 pub fn check_policy(policy: Policy, machine: &MachineConfig, graph: &DepGraph) -> PolicyOutcome {
+    check_policy_solved(policy, machine, graph, &OptimalSolver::default())
+}
+
+/// [`check_policy`] certified by `solver`.
+fn check_policy_solved(
+    policy: Policy,
+    machine: &MachineConfig,
+    graph: &DepGraph,
+    solver: &OptimalSolver,
+) -> PolicyOutcome {
     match vliw_sms::contain_schedule(|| policy.schedule(machine, graph)) {
         Ok(out) => {
             // The achieved II seeds the solve as its incumbent: the schedule
             // the dynamic oracles are about to validate is itself a witness,
             // so the solver only has to close the range below it.
-            let certificate = solve_certificate(
-                &policy.target_machine(machine),
+            let certificate = solver.certify_with_incumbent(
                 graph,
+                &policy.target_machine(machine),
                 Some(out.diagnostics.ii),
             );
             audit_scheduled(policy, machine, graph, &out, &certificate)
@@ -191,26 +191,11 @@ pub fn solve_certificate(
     OptimalSolver::default().certify_with_incumbent(graph, machine, incumbent)
 }
 
-/// [`check_policy`] with a precomputed optimality certificate (must be for the
-/// policy's [`Policy::target_machine`]); [`check_case`] shares one solve across
-/// the policies targeting the same machine.
-pub fn check_policy_with(
-    policy: Policy,
-    machine: &MachineConfig,
-    graph: &DepGraph,
-    certificate: &OptCertificate,
-) -> PolicyOutcome {
-    match vliw_sms::contain_schedule(|| policy.schedule(machine, graph)) {
-        Ok(out) => audit_scheduled(policy, machine, graph, &out, certificate),
-        Err(e) => error_outcome(e),
-    }
-}
-
-/// Run the five audit oracles over one already-produced schedule.  Split out of
-/// [`check_policy_with`] so callers that need the achieved IIs *before* solving
-/// (to seed the solver's incumbent — [`check_case`] and the `fig_optgap`
-/// pipeline) can schedule first and audit second without scheduling twice.
-pub fn audit_scheduled(
+/// Run the five audit oracles over one already-produced schedule, against a
+/// certificate for the policy's [`Policy::target_machine`].  Split from the
+/// scheduling so [`check_case_with`] can seed the solver with the achieved IIs
+/// before it audits, without scheduling twice.
+fn audit_scheduled(
     policy: Policy,
     machine: &MachineConfig,
     graph: &DepGraph,
@@ -282,13 +267,23 @@ pub fn check_unrolled(
     graph: &DepGraph,
     factor: u32,
 ) -> Option<UnrollAudit> {
+    check_unrolled_solved(machine, graph, factor, &OptimalSolver::default())
+}
+
+/// [`check_unrolled`] certified by `solver`.
+fn check_unrolled_solved(
+    machine: &MachineConfig,
+    graph: &DepGraph,
+    factor: u32,
+    solver: &OptimalSolver,
+) -> Option<UnrollAudit> {
     if factor < 2 || factor as u64 > graph.iterations {
         return None;
     }
     let kernel = vliw_ddg::unroll_exact(graph, factor).kernel;
     Some(UnrollAudit {
         factor,
-        outcome: check_policy(Policy::Bsa, machine, &kernel),
+        outcome: check_policy_solved(Policy::Bsa, machine, &kernel, solver),
     })
 }
 
@@ -298,8 +293,16 @@ pub fn check_unrolled(
 /// Two passes: first schedule every policy, then solve one certificate per
 /// distinct target machine — seeded with the *best* achieved II among the
 /// policies that target it, so the solver starts from a validated incumbent —
-/// and finally audit each schedule against its machine's certificate.
+/// and finally audit each schedule against its machine's certificate.  The
+/// solver runs at its default budget; [`check_case_with`] takes another.
 pub fn check_case(case: FuzzCase) -> CaseOutcome {
+    check_case_with(case, &OptimalSolver::default())
+}
+
+/// [`check_case`] with every certificate — the unrolled kernel's included —
+/// solved by `solver`.  The `fig_optgap` pipeline passes a deeper budget than
+/// the fuzz campaign's default.
+pub fn check_case_with(case: FuzzCase, solver: &OptimalSolver) -> CaseOutcome {
     let schedules: Vec<(Policy, Result<ScheduledLoop, ScheduleError>)> = Policy::ALL
         .iter()
         .map(|&policy| {
@@ -319,11 +322,14 @@ pub fn check_case(case: FuzzCase) -> CaseOutcome {
             .filter_map(|(_, r)| r.as_ref().ok().map(|out| out.diagnostics.ii))
             .min()
     };
-    let base_cert = solve_certificate(&case.machine, &case.graph, best_ii(&case.machine));
+    let solve = |target: &MachineConfig| {
+        solver.certify_with_incumbent(&case.graph, target, best_ii(target))
+    };
+    let base_cert = solve(&case.machine);
     let unified_cert = if unified_target == case.machine {
         base_cert.clone()
     } else {
-        solve_certificate(&unified_target, &case.graph, best_ii(&unified_target))
+        solve(&unified_target)
     };
     let outcomes = schedules
         .into_iter()
@@ -339,7 +345,7 @@ pub fn check_case(case: FuzzCase) -> CaseOutcome {
             (policy, outcome)
         })
         .collect();
-    let unrolled = check_unrolled(&case.machine, &case.graph, case.unroll_factor);
+    let unrolled = check_unrolled_solved(&case.machine, &case.graph, case.unroll_factor, solver);
     CaseOutcome {
         case,
         outcomes,
